@@ -111,7 +111,7 @@ impl PageMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvm_mem::{FramePool, BLOCK_ORDER, BLOCK_PAGES};
+    use rvm_mem::{FramePool, BLOCK_ORDER};
     use rvm_refcache::Refcache;
 
     #[test]
@@ -145,7 +145,7 @@ mod tests {
         let base = pool.alloc_block(0, BLOCK_ORDER);
         let mut m = PageMeta::new(Backing::Anon, Prot::RW);
         m.block = Some(pool.retain_block(&cache, 0, base, BLOCK_ORDER, 1));
-        let vpn_base = 7 * BLOCK_PAGES as u64; // virtually aligned
+        let vpn_base = 7u64 << BLOCK_ORDER; // virtually aligned
         assert_eq!(m.frame_for(vpn_base), Some(base));
         assert_eq!(m.frame_for(vpn_base + 17), Some(base + 17));
         pool.ref_dec(&cache, 0, m.block.take().unwrap());

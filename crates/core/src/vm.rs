@@ -26,12 +26,13 @@ use std::sync::Arc;
 
 use std::sync::Mutex;
 
+use rvm_hw::pagetable::NODE_SLOTS;
 use rvm_hw::{
     vpn_of, AccessKind, Asid, Backing, Machine, MapFlags, Mmu, MmuKind, PerCoreMmu, Prot, Pte,
-    ShardedOpStats, SharedMmu, SpaceUsage, TlbEntry, Translation, Vaddr, VmError, VmResult,
-    VmSystem, Vpn, BLOCK_PAGES, GIANT_PAGES, VA_LIMIT,
+    Rung, ShardedOpStats, SharedMmu, SpaceUsage, TlbEntry, Translation, Vaddr, VmError, VmResult,
+    VmSystem, Vpn, BLOCK_PAGES, RUNGS, VA_LIMIT,
 };
-use rvm_mem::{FrameRef, Pfn, BLOCK_ORDER, GIANT_ORDER};
+use rvm_mem::{FrameRef, Pfn, BLOCK_ORDER};
 use rvm_radix::{LockMode, RadixConfig, RadixTree, RangeGuard, Removed, VPN_LIMIT};
 use rvm_refcache::Refcache;
 use rvm_sync::atomic::AtomicCoreSet;
@@ -291,71 +292,56 @@ impl RadixVm {
     }
 
     /// Completes superpage demotion after a range lock expanded folded
-    /// block values (DESIGN.md §7). The fold owned **one** reference on
-    /// its block-head frame slot; expansion cloned the handle into every
-    /// page of the block, so each clone beyond the first adopts one
+    /// superpage values (DESIGN.md §7, §12), one rung at a time from the
+    /// top. A populated fold owned **one** reference on its block-head
+    /// frame slot; expanding it cloned the handle into all 512 slots of a
+    /// fresh node one rung down, so each clone beyond the first adopts one
     /// reference — 511 slot increments through the delta cache, no
     /// allocation — legal exactly here because expansion leaves every
-    /// slot of the new leaf born-locked until this guard drops, so no
-    /// other core can observe (or release) an unadopted copy. The block
-    /// PTE is then shattered into 4 KiB PTEs in every tracked table and
-    /// the span TLB entries are shot down, all under the same guard.
+    /// slot of the new node born-locked until this guard drops, so no
+    /// other core can observe (or release) an unadopted copy. The rung's
+    /// PTE is then shattered in place one rung down in every tracked
+    /// table (translations preserved) and its span TLB entries are shot
+    /// down, all under the same guard.
+    ///
+    /// Top-down order makes a deep cascade exact: a giant clone the same
+    /// descent expanded further down to a leaf counts as one of the
+    /// giant's 512 clones here, and its leaf adopts its own 511 per-page
+    /// references at the block rung, so every extra handle adopts exactly
+    /// one reference however deep the cascade went. A contiguous lock
+    /// range always leaves at least one clone of an expanded giant folded
+    /// (at most the two edge chunks expand further), so every expanded
+    /// giant is observed. Clones group by aligned *virtual* start, never
+    /// by handle: every chunk of one demoted giant carries the same
+    /// giant-head handle, and merging two chunks would adopt the wrong
+    /// count and shatter the wrong PTE.
     fn demote_expanded(&self, core: usize, guard: &mut RangeGuard<'_, PageMeta>) {
         let pool = self.machine.pool();
-        // Stage 1 — the 1 GiB rung. A giant fold the lock expanded one
-        // rung left 512 block-spanning clones in a fresh interior node
-        // (born-locked until this guard drops). The fold owned one
-        // reference on the giant-head slot; the clones collectively
-        // adopt 511 more. Chunks the same descent re-expanded down to
-        // leaves are accounted by stage 2 — each leaf expansion adopts
-        // 511 per-page references from its chunk's clone — so the total
-        // is exactly one reference per extra handle however deep the
-        // cascade went. The giant PTE shatters in place into 512 block
-        // PTEs (translations preserved) and the giant span entries are
-        // shot down. A contiguous lock range always leaves at least one
-        // chunk clone folded (at most the two edge chunks expand
-        // further), so every expanded giant is observed here.
-        let mut giants: Vec<(Vpn, FrameRef, CoreSet)> = Vec::new();
-        guard.for_each_expanded_fold_mut(|vpn, _pages, m| {
-            if let Some(b) = m.block {
-                let gstart = vpn & !(GIANT_PAGES - 1);
-                if !giants.iter().any(|e| e.0 == gstart) {
-                    giants.push((gstart, b, m.coreset));
+        let clones = NODE_SLOTS as u64;
+        // Each rung examines the expanded nodes from its own clones' level
+        // up to the rung above, so every expanded node is examined once.
+        let mut above = u64::MAX;
+        for rung in RUNGS.into_iter().rev() {
+            let child = rung.pages() / clones;
+            let mut spans: Vec<(Vpn, FrameRef, CoreSet)> = Vec::new();
+            guard.for_each_expanded_mut(child..above, |vpn, m| {
+                if let Some(b) = m.block {
+                    let start = vpn & !(rung.pages() - 1);
+                    if !spans.iter().any(|e| e.0 == start) {
+                        spans.push((start, b, m.coreset));
+                    }
                 }
-            }
-        });
-        for (gstart, b, tracked) in giants {
-            let clones = GIANT_PAGES / BLOCK_PAGES;
-            for _ in 1..clones {
-                pool.ref_inc(&self.cache, core, b);
-            }
-            let targets = self.mmu.demote_giant(gstart, tracked, self.attached.load());
-            self.machine
-                .shootdown(core, self.asid, gstart, GIANT_PAGES, targets);
-            self.stats.superpage_demote(core);
-        }
-        // Stage 2 — the 2 MiB rung (§7). Grouped by *virtual* block
-        // start, not by handle: every chunk of one demoted giant carries
-        // the same giant-head handle, and merging two chunks would adopt
-        // the wrong count and shatter the wrong PTE.
-        let mut blocks: Vec<(Vpn, FrameRef, CoreSet, u64)> = Vec::new();
-        guard.for_each_expanded_value_mut(|vpn, m| {
-            if let Some(b) = m.block {
-                let start = vpn & !(BLOCK_PAGES - 1);
-                match blocks.iter_mut().find(|e| e.0 == start) {
-                    Some(e) => e.3 += 1,
-                    None => blocks.push((start, b, m.coreset, 1)),
+            });
+            for (start, b, tracked) in spans {
+                for _ in 1..clones {
+                    pool.ref_inc(&self.cache, core, b);
                 }
+                let targets = self.mmu.demote(start, rung, tracked, self.attached.load());
+                self.machine
+                    .shootdown(core, self.asid, start, rung.pages(), targets);
+                self.stats.superpage_demote(core);
             }
-        });
-        for (start, b, tracked, npages) in blocks {
-            for _ in 1..npages {
-                pool.ref_inc(&self.cache, core, b);
-            }
-            let targets = self.mmu.demote(start, tracked, self.attached.load());
-            self.machine
-                .shootdown(core, self.asid, start, BLOCK_PAGES, targets);
-            self.stats.superpage_demote(core);
+            above = child;
         }
     }
 
@@ -795,8 +781,8 @@ impl RadixVm {
         );
     }
 
-    /// Installs a span (superpage) TLB entry covering `span` pages —
-    /// [`BLOCK_PAGES`] or [`GIANT_PAGES`] — based at `base_vpn`.
+    /// Installs a span (superpage) TLB entry covering `span` pages — one
+    /// [`Rung`]'s `pages` — based at `base_vpn`.
     fn fill_span(&self, core: usize, base_vpn: Vpn, base_pfn: Pfn, span: u64, writable: bool) {
         self.machine.tlb_fill(
             core,
@@ -817,7 +803,7 @@ impl RadixVm {
     /// superpage PTE backed by **one** contiguous frame block and **one**
     /// Refcache object.
     ///
-    /// Eligibility: the fold spans exactly one hardware block, the
+    /// Eligibility: the fold spans exactly one [`Rung`]'s span, the
     /// mapping is anonymous, carries the huge hint (or was already
     /// populated as a superpage), and the access is not a copy-on-write
     /// write. Ineligible folds demote ([`BlockPath::Demote`]).
@@ -840,19 +826,13 @@ impl RadixVm {
             }
             _ => {}
         }
-        let eligible = (pages == BLOCK_PAGES || pages == GIANT_PAGES)
-            && (meta.block.is_some()
-                || (meta.huge && meta.kind == PageKind::Plain && meta.backing == Backing::Anon));
+        let eligible = meta.block.is_some()
+            || (meta.huge && meta.kind == PageKind::Plain && meta.backing == Backing::Anon);
         let cow_write = kind == AccessKind::Write && meta.kind == PageKind::Cow;
-        if !eligible || cow_write {
+        let Some(rung) = Rung::with_pages(pages).filter(|_| eligible && !cow_write) else {
             return BlockPath::Demote;
-        }
-        let pool = self.machine.pool();
-        let order = if pages == GIANT_PAGES {
-            GIANT_ORDER
-        } else {
-            BLOCK_ORDER
         };
+        let pool = self.machine.pool();
         let base = match meta.block {
             Some(b) => {
                 self.stats.fault_fill(core);
@@ -871,7 +851,7 @@ impl RadixVm {
                 // they fault) at the next granularity down instead of
                 // failing the access — a failed 1 GiB populate retries
                 // at 2 MiB, a failed 2 MiB populate at 4 KiB.
-                let base = match pool.try_alloc_block(core, order) {
+                let base = match pool.try_alloc_block(core, rung.order()) {
                     Ok(base) => base,
                     Err(_) => {
                         self.stats.block_fallback(core);
@@ -880,7 +860,7 @@ impl RadixVm {
                 };
                 self.stats.fault_alloc(core);
                 self.count_fault_placement(core, base, pages);
-                meta.block = Some(pool.retain_block(&self.cache, core, base, order, 1));
+                meta.block = Some(pool.retain_block(&self.cache, core, base, rung.order(), 1));
                 base
             }
         };
@@ -891,13 +871,8 @@ impl RadixVm {
             meta.coreset.insert(core);
             self.stats.superpage_install(core);
         }
-        if pages == GIANT_PAGES {
-            self.mmu
-                .map_giant(core, start, Pte::new_giant(base, writable));
-        } else {
-            self.mmu
-                .map_block(core, start, Pte::new_block(base, writable));
-        }
+        self.mmu
+            .map_span(core, start, Pte::new_span(base, writable, rung));
         let pfn = base + (vpn - start) as Pfn;
         let tr = Translation {
             pfn,
@@ -1056,7 +1031,7 @@ impl RadixVm {
             }
         }
         self.mmu
-            .map_block(core, base, Pte::new_block(pte_base, writable));
+            .map_span(core, base, Pte::new_span(pte_base, writable, RUNGS[0]));
         self.fill_span(core, base, pte_base, BLOCK_PAGES, writable);
         self.stats.superpage_promote(core);
         let pfn = pte_base + (vpn - base) as Pfn;

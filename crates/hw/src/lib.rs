@@ -33,7 +33,7 @@ pub mod pagetable;
 pub mod tlb;
 
 pub use mmu::{Mmu, MmuKind, PerCoreMmu, SharedMmu};
-pub use pagetable::{PageTable, Pte, BLOCK_PAGES, GIANT_PAGES};
+pub use pagetable::{PageTable, Pte, Rung, BLOCK_PAGES, GIANT_PAGES, RUNGS};
 pub use rvm_mem::{OutOfMemory, PlacementPolicy};
 pub use tlb::{Tlb, TlbEntry};
 
@@ -111,9 +111,9 @@ pub struct MapFlags(pub u8);
 impl MapFlags {
     /// No hints.
     pub const NONE: MapFlags = MapFlags(0);
-    /// Huge-page hint (`MAP_HUGETLB`-style): aligned [`BLOCK_PAGES`]
-    /// blocks of the mapping are candidates for one superpage PTE backed
-    /// by a physically contiguous frame block.
+    /// Huge-page hint (`MAP_HUGETLB`-style): aligned spans of any
+    /// [`Rung`] in the mapping are candidates for one superpage PTE
+    /// backed by a physically contiguous frame block.
     pub const HUGE: MapFlags = MapFlags(1);
 
     /// Returns true if the huge-page hint is set.
@@ -237,7 +237,8 @@ pub struct OpStats {
     /// Superpage (block) PTE installs — faults that populated or filled
     /// a whole block with one entry.
     pub superpage_installs: u64,
-    /// Superpage demotions (block PTE shattered into 4 KiB PTEs).
+    /// Superpage demotions: one per superpage PTE shattered one rung
+    /// down (a block into 4 KiB PTEs, or a giant into block PTEs).
     pub superpage_demotions: u64,
     /// Superpage promotions — demoted (or never-folded) 4 KiB runs
     /// opportunistically re-folded into one block PTE (§7's inverse).

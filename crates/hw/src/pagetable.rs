@@ -9,16 +9,19 @@
 //!
 //! # Variable granularity
 //!
-//! A slot at the last *interior* level may hold a **block PTE** instead of
-//! a child pointer — the x86 PS-bit superpage: one entry maps a whole
-//! 512-page (2 MiB) aligned block to a physically contiguous frame block.
-//! The walk stops at a block entry ([`PageTable::get`] synthesizes the
-//! member frame's translation), [`PageTable::set_block`] /
-//! [`PageTable::clear_block`] install and remove them, and
-//! [`PageTable::shatter_block`] demotes one in place into a leaf node of
-//! 512 ordinary PTEs (the paper-adjacent demotion path: partial munmap of
-//! a superpage must not lose the surviving 4 KiB translations).
-//! Encoding: a block PTE is distinguished from a child pointer by
+//! A slot at an interior level may hold a **superpage PTE** instead of a
+//! child pointer — the x86 PS bit: one entry maps a whole aligned span of
+//! pages to a physically contiguous frame block. Each level that may hold
+//! one is a [`Rung`] of the [`RUNGS`] table: 2 MiB block PTEs at the last
+//! interior level, 1 GiB giant PTEs one level higher. Every superpage
+//! operation takes the rung as an input. [`Pte::new_span`] builds the
+//! entry and [`PageTable::set_span`] installs it. The walk stops at a
+//! superpage entry, and [`PageTable::get`] synthesizes the member frame's
+//! translation. [`PageTable::shatter`] demotes one in place into a node of
+//! 512 entries one rung down: a block into 4 KiB PTEs, a giant into block
+//! PTEs. This is the paper-adjacent demotion path: partial munmap of a
+//! superpage must not lose the surviving smaller translations.
+//! Encoding: a superpage PTE is distinguished from a child pointer by
 //! [`Pte::BLOCK`] (bit 2), which is always clear in an aligned pointer
 //! tagged with [`CHILD_TAG`] (bit 0).
 
@@ -36,25 +39,80 @@ pub const NODE_SLOTS: usize = 1 << LEVEL_BITS;
 /// Number of levels (36-bit VPN / 9).
 pub const LEVELS: usize = VPN_BITS / LEVEL_BITS;
 
+/// One superpage size: the span a PTE at one interior level maps.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Rung {
+    order: u8,
+    pages: u64,
+    /// Table level whose slots hold this rung's entries.
+    level: usize,
+    /// PTE bits that mark an entry of this rung.
+    flags: u64,
+}
+
+impl Rung {
+    /// The rung whose entries sit `height` levels above the leaves.
+    const fn at_height(height: usize, flags: u64) -> Rung {
+        let order = (height * LEVEL_BITS) as u8;
+        Rung {
+            order,
+            pages: 1 << order,
+            level: LEVELS - 1 - height,
+            flags,
+        }
+    }
+
+    /// log2 of the pages one entry maps: the frame-pool block order that
+    /// backs it.
+    pub const fn order(self) -> u8 {
+        self.order
+    }
+
+    /// Pages one entry maps (`1 << order`).
+    pub const fn pages(self) -> u64 {
+        self.pages
+    }
+
+    /// The rung whose entries map `pages` pages, if any.
+    pub fn with_pages(pages: u64) -> Option<Rung> {
+        RUNGS.into_iter().find(|r| r.pages == pages)
+    }
+
+    /// The rung whose entries live in the slots of table `level`, if any.
+    fn at_level(level: usize) -> Option<Rung> {
+        RUNGS.into_iter().find(|r| r.level == level)
+    }
+}
+
+/// The superpage rungs, smallest first. Adding a rung means adding one
+/// order to `rvm_mem` and one row here.
+pub const RUNGS: [Rung; 2] = [
+    // 2 MiB: the PS bit in an x86 page-directory entry.
+    Rung::at_height(1, Pte::BLOCK),
+    // 1 GiB: the PS bit one level up, in a PDPT entry.
+    Rung::at_height(2, Pte::BLOCK | Pte::GIANT),
+];
+
 /// Pages covered by one block PTE (an entry at the last interior level).
-pub const BLOCK_PAGES: u64 = NODE_SLOTS as u64;
+pub const BLOCK_PAGES: u64 = RUNGS[0].pages;
 
 /// Pages covered by one giant PTE (an entry one interior level higher:
 /// the x86 1 GiB PDPT superpage).
-pub const GIANT_PAGES: u64 = BLOCK_PAGES * NODE_SLOTS as u64;
+pub const GIANT_PAGES: u64 = RUNGS[1].pages;
 
-// A block PTE's frame block must be exactly as large as the page span
-// its table slot covers; a drift between the pool's block order and the
+// A superpage PTE's frame block must be exactly as large as the page span
+// its table slot covers; a drift between the pool's block orders and the
 // table fanout would map unrelated frames.
-const _: () = assert!(1u64 << rvm_mem::BLOCK_ORDER == BLOCK_PAGES);
-const _: () = assert!(1u64 << rvm_mem::GIANT_ORDER == GIANT_PAGES);
+const _: () = assert!(RUNGS[0].order == rvm_mem::BLOCK_ORDER);
+const _: () = assert!(RUNGS[1].order == rvm_mem::GIANT_ORDER);
 
 /// A page table entry.
 ///
-/// Encoding: `[pfn:32 | reserved | B | W | P]`. `B` ([`Pte::BLOCK`], the
-/// x86 PS bit) marks an entry installed at the last interior level that
-/// maps a whole [`BLOCK_PAGES`]-page block; its `pfn` is the base of a
-/// physically contiguous frame block.
+/// Encoding: `[pfn:32 | reserved | G | B | W | P]`. `B` ([`Pte::BLOCK`],
+/// the x86 PS bit) marks a superpage entry installed at an interior level;
+/// `G` ([`Pte::GIANT`]) tells the 1 GiB rung from the 2 MiB one. A
+/// superpage entry's `pfn` is the base of a physically contiguous frame
+/// block.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Pte(pub u64);
 
@@ -64,9 +122,9 @@ impl Pte {
     const PRESENT: u64 = 1 << 0;
     const WRITABLE: u64 = 1 << 1;
     /// Block ("page size") bit: the entry is an interior-level leaf
-    /// covering [`BLOCK_PAGES`] pages. Doubles as the discriminant
-    /// between block PTEs and [`CHILD_TAG`]-tagged child pointers in
-    /// interior slots (aligned pointers never have bit 2 set).
+    /// covering a whole [`Rung`]. Doubles as the discriminant between
+    /// superpage PTEs and [`CHILD_TAG`]-tagged child pointers in interior
+    /// slots (aligned pointers never have bit 2 set).
     pub const BLOCK: u64 = 1 << 2;
     /// Giant bit: together with [`Pte::BLOCK`], the entry sits one
     /// interior level higher and covers [`GIANT_PAGES`] pages (x86's
@@ -79,16 +137,10 @@ impl Pte {
         Pte(((pfn as u64) << 32) | Self::PRESENT | if writable { Self::WRITABLE } else { 0 })
     }
 
-    /// Builds a present block PTE whose `pfn` is the base of a
-    /// contiguous [`BLOCK_PAGES`]-frame block.
-    pub fn new_block(pfn: Pfn, writable: bool) -> Pte {
-        Pte(Self::new(pfn, writable).0 | Self::BLOCK)
-    }
-
-    /// Builds a present giant PTE whose `pfn` is the base of a
-    /// contiguous [`GIANT_PAGES`]-frame block.
-    pub fn new_giant(pfn: Pfn, writable: bool) -> Pte {
-        Pte(Self::new(pfn, writable).0 | Self::BLOCK | Self::GIANT)
+    /// Builds a present superpage PTE of `rung` whose `pfn` is the base of
+    /// a contiguous block of `rung.pages` frames.
+    pub fn new_span(pfn: Pfn, writable: bool, rung: Rung) -> Pte {
+        Pte(Self::new(pfn, writable).0 | rung.flags)
     }
 
     /// Returns true if the entry is present.
@@ -103,29 +155,26 @@ impl Pte {
         self.0 & Self::WRITABLE != 0
     }
 
-    /// Returns true if the entry is a block (superpage) entry — giant
-    /// entries included.
+    /// Returns true if the entry is a superpage entry of any rung.
     #[inline]
     pub fn block(self) -> bool {
         self.0 & Self::BLOCK != 0
     }
 
-    /// Returns true if the entry is a giant (1 GiB) entry.
+    /// The rung of a superpage entry; `None` for a 4 KiB entry.
     #[inline]
-    pub fn giant(self) -> bool {
-        self.0 & (Self::BLOCK | Self::GIANT) == (Self::BLOCK | Self::GIANT)
+    fn rung(self) -> Option<Rung> {
+        // A larger rung's bits include a smaller one's: test it first.
+        RUNGS
+            .into_iter()
+            .rev()
+            .find(|r| self.0 & r.flags == r.flags)
     }
 
     /// Pages this entry translates.
     #[inline]
     pub fn span(self) -> u64 {
-        if self.giant() {
-            GIANT_PAGES
-        } else if self.block() {
-            BLOCK_PAGES
-        } else {
-            1
-        }
+        self.rung().map_or(1, |r| r.pages)
     }
 
     /// The mapped frame (a block entry's base frame).
@@ -135,8 +184,8 @@ impl Pte {
     }
 }
 
-/// Returns true when an interior slot word holds a block PTE rather than
-/// a child pointer.
+/// Returns true when an interior slot word holds a superpage PTE rather
+/// than a child pointer.
 #[inline]
 fn is_block_word(v: u64) -> bool {
     v & Pte::BLOCK != 0
@@ -153,6 +202,19 @@ impl PtNode {
             slots: (0..NODE_SLOTS).map(|_| Atomic64::new(0)).collect(),
         })
     }
+}
+
+/// The child node a non-zero, non-block interior slot word points to.
+///
+/// # Safety
+///
+/// `v` must have been loaded from an interior slot. Such words always
+/// hold a child pointer published by [`PageTable::child_or_create`];
+/// children are only freed in `Drop` (which requires `&mut self`) or under
+/// the VA-range lock contract of [`PageTable::set_span`].
+unsafe fn child<'a>(v: u64) -> &'a PtNode {
+    debug_assert!(v & CHILD_TAG != 0 && !is_block_word(v));
+    &*((v & !CHILD_TAG) as *const PtNode)
 }
 
 /// A four-level software page table for one (address space, core) pair —
@@ -182,6 +244,12 @@ impl PageTable {
         ((vpn >> shift) as usize) & (NODE_SLOTS - 1)
     }
 
+    /// Pages one slot of `level` covers.
+    #[inline]
+    fn level_pages(level: usize) -> u64 {
+        1 << (LEVEL_BITS * (LEVELS - 1 - level))
+    }
+
     /// Allocates (or finds) the child published in `slot`, returning it.
     fn child_or_create<'a>(&'a self, slot: &'a Atomic64, create: bool) -> Option<&'a PtNode> {
         let mut v = slot.load(Ordering::Acquire);
@@ -205,95 +273,58 @@ impl PageTable {
                 }
             }
         }
-        debug_assert_ne!(v & CHILD_TAG, 0);
-        debug_assert!(!is_block_word(v));
-        // SAFETY: non-zero non-block interior slots always hold a child
-        // pointer published by the CAS above; children are only freed in
-        // `Drop` (which requires `&mut self`) or under the VA-range lock
-        // contract of `set_block`.
-        Some(unsafe { &*((v & !CHILD_TAG) as *const PtNode) })
+        // SAFETY: a non-zero slot on the descent path holds a child
+        // pointer (the caller ruled out a superpage word).
+        Some(unsafe { child(v) })
     }
 
-    /// Walks the interior levels above the giant level, returning the
-    /// node whose slots cover [`GIANT_PAGES`] pages each (the level giant
-    /// PTEs live at), optionally allocating missing interior nodes.
-    fn giant_level_node(&self, vpn: Vpn, create: bool) -> Option<&PtNode> {
+    /// Descends from the root to the slot covering `vpn` at `level`,
+    /// optionally allocating missing interior nodes. A superpage PTE met
+    /// above `level` is shattered one rung at a time when `create` is set
+    /// (the caller is about to install something smaller under it),
+    /// otherwise the descent reports `None` — use [`PageTable::get`] for
+    /// superpage-aware reads.
+    fn slot(&self, vpn: Vpn, level: usize, create: bool) -> Option<&Atomic64> {
         let mut node: &PtNode = &self.root;
-        for level in 0..LEVELS - 3 {
-            let slot = &node.slots[Self::index(vpn, level)];
+        for l in 0..level {
+            let slot = &node.slots[Self::index(vpn, l)];
+            // Only a rung's level can hold a superpage word.
+            if let Some(rung) = Rung::at_level(l) {
+                loop {
+                    let v = slot.load(Ordering::Acquire);
+                    if !is_block_word(v) {
+                        break;
+                    }
+                    if !create {
+                        return None;
+                    }
+                    self.shatter_word(slot, v, rung);
+                }
+            }
             node = self.child_or_create(slot, create)?;
         }
-        Some(node)
+        Some(&node.slots[Self::index(vpn, level)])
     }
 
-    /// The slot at the giant level covering `vpn` (holds a child pointer,
-    /// a giant PTE, or zero).
-    fn giant_slot(&self, vpn: Vpn, create: bool) -> Option<&Atomic64> {
-        self.giant_level_node(vpn, create)
-            .map(|n| &n.slots[Self::index(vpn, LEVELS - 3)])
-    }
-
-    /// Walks the interior levels above the block level, returning the
-    /// node whose slots cover [`BLOCK_PAGES`] pages each (the level block
-    /// PTEs live at), optionally allocating missing interior nodes. A
-    /// giant PTE covering `vpn` is shattered into 512 block PTEs when
-    /// `create` is set, otherwise the walk reports `None`.
-    fn block_level_node(&self, vpn: Vpn, create: bool) -> Option<&PtNode> {
-        let slot = self.giant_slot(vpn, create)?;
-        loop {
-            let v = slot.load(Ordering::Acquire);
-            if is_block_word(v) {
-                if !create {
-                    return None;
-                }
-                self.shatter_giant_word(slot, v);
-                continue;
-            }
-            return self.child_or_create(slot, create);
-        }
-    }
-
-    /// The slot at the block level covering `vpn` (holds a child pointer,
-    /// a block PTE, or zero).
-    fn block_slot(&self, vpn: Vpn, create: bool) -> Option<&Atomic64> {
-        self.block_level_node(vpn, create)
-            .map(|n| &n.slots[Self::index(vpn, LEVELS - 2)])
-    }
-
-    /// Walks to the leaf node containing `vpn`, optionally allocating
-    /// missing interior nodes. A block PTE covering `vpn` is shattered
-    /// in place when `create` is set (the caller is about to install a
-    /// 4 KiB entry), otherwise the walk reports `None` — use
-    /// [`PageTable::get`] for block-aware reads.
-    fn walk(&self, vpn: Vpn, create: bool) -> Option<&PtNode> {
-        let slot = self.block_slot(vpn, create)?;
-        loop {
-            let v = slot.load(Ordering::Acquire);
-            if is_block_word(v) {
-                if !create {
-                    return None;
-                }
-                self.shatter_word(slot, v);
-                continue;
-            }
-            return self.child_or_create(slot, create);
-        }
-    }
-
-    /// Replaces the block PTE word `v` in `slot` with a leaf node holding
-    /// the 512 equivalent 4 KiB PTEs. Returns true if this call did the
+    /// Replaces the `rung` PTE word `v` in `slot` with a node holding the
+    /// 512 equivalent entries one rung down (4 KiB PTEs under a block,
+    /// block PTEs under a giant). Returns true if this call did the
     /// shatter (false: someone else changed the slot first).
-    fn shatter_word(&self, slot: &Atomic64, v: u64) -> bool {
-        debug_assert!(is_block_word(v) && !Pte(v).giant());
+    fn shatter_word(&self, slot: &Atomic64, v: u64, rung: Rung) -> bool {
         let pte = Pte(v);
-        let leaf = PtNode::new();
-        for (i, s) in leaf.slots.iter().enumerate() {
-            s.store(
-                Pte::new(pte.pfn() + i as Pfn, pte.writable()).0,
-                Ordering::Relaxed,
-            );
+        debug_assert_eq!(pte.rung(), Some(rung));
+        let pages = rung.pages >> LEVEL_BITS;
+        let below = Rung::at_level(rung.level + 1);
+        let node = PtNode::new();
+        for (i, s) in node.slots.iter().enumerate() {
+            let pfn = pte.pfn() + (i as u64 * pages) as Pfn;
+            let entry = match below {
+                Some(r) => Pte::new_span(pfn, pte.writable(), r),
+                None => Pte::new(pfn, pte.writable()),
+            };
+            s.store(entry.0, Ordering::Relaxed);
         }
-        let ptr = Box::into_raw(leaf) as u64 | CHILD_TAG;
+        let ptr = Box::into_raw(node) as u64 | CHILD_TAG;
         match slot.compare_exchange(v, ptr, Ordering::AcqRel, Ordering::Acquire) {
             Ok(_) => {
                 self.nodes.fetch_add(1, Ordering::Relaxed);
@@ -307,95 +338,51 @@ impl PageTable {
         }
     }
 
-    /// Replaces the giant PTE word `v` in `slot` with an interior node
-    /// holding the 512 equivalent block PTEs (the first rung of the
-    /// demotion cascade: 1 GiB → 2 MiB). Returns true if this call did
-    /// the shatter.
-    fn shatter_giant_word(&self, slot: &Atomic64, v: u64) -> bool {
-        debug_assert!(is_block_word(v) && Pte(v).giant());
-        let pte = Pte(v);
-        let mid = PtNode::new();
-        for (i, s) in mid.slots.iter().enumerate() {
-            s.store(
-                Pte::new_block(pte.pfn() + (i as u64 * BLOCK_PAGES) as Pfn, pte.writable()).0,
-                Ordering::Relaxed,
-            );
-        }
-        let ptr = Box::into_raw(mid) as u64 | CHILD_TAG;
-        match slot.compare_exchange(v, ptr, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => {
-                self.nodes.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => {
-                // SAFETY: never published.
-                unsafe { drop(Box::from_raw((ptr & !CHILD_TAG) as *mut PtNode)) };
-                false
-            }
-        }
-    }
-
-    /// Installs `pte` for `vpn`, returning the previous entry. A block
-    /// PTE covering `vpn` is shattered first.
+    /// Installs `pte` for `vpn`, returning the previous entry. A
+    /// superpage PTE covering `vpn` is shattered first.
     pub fn set(&self, vpn: Vpn, pte: Pte) -> Pte {
-        debug_assert!(!pte.block(), "use set_block for block PTEs");
-        let leaf = self.walk(vpn, true).expect("walk(create) cannot fail");
-        let idx = Self::index(vpn, LEVELS - 1);
-        Pte(leaf.slots[idx].swap(pte.0, Ordering::AcqRel))
+        debug_assert!(!pte.block(), "use set_span for superpage PTEs");
+        let slot = self
+            .slot(vpn, LEVELS - 1, true)
+            .expect("slot(create) cannot fail");
+        Pte(slot.swap(pte.0, Ordering::AcqRel))
     }
 
     /// Installs `pte` only if the slot currently holds `expect`.
     pub fn set_if(&self, vpn: Vpn, expect: Pte, pte: Pte) -> Result<(), Pte> {
-        let leaf = self.walk(vpn, true).expect("walk(create) cannot fail");
-        let idx = Self::index(vpn, LEVELS - 1);
-        leaf.slots[idx]
-            .compare_exchange(expect.0, pte.0, Ordering::AcqRel, Ordering::Acquire)
+        let slot = self
+            .slot(vpn, LEVELS - 1, true)
+            .expect("slot(create) cannot fail");
+        slot.compare_exchange(expect.0, pte.0, Ordering::AcqRel, Ordering::Acquire)
             .map(|_| ())
             .map_err(Pte)
     }
 
-    /// Installs a block PTE covering the [`BLOCK_PAGES`]-aligned block
-    /// containing `vpn`. Any existing leaf node for the block (its 4 KiB
-    /// entries were cleared by the caller's unmap) is freed.
+    /// Installs the superpage PTE `pte` (built with [`Pte::new_span`])
+    /// over the aligned span of its rung containing `vpn`. Any existing
+    /// subtree for the span (its entries were cleared by the caller's
+    /// unmap) is freed.
     ///
-    /// Contract: the caller holds the VA-range lock for the whole block,
+    /// Contract: the caller holds the VA-range lock for the whole span,
     /// excluding concurrent walks of this range in shared-table
     /// configurations (the radix slot lock provides exactly this).
-    pub fn set_block(&self, vpn: Vpn, pte: Pte) {
-        debug_assert!(pte.block() && !pte.giant());
+    pub fn set_span(&self, vpn: Vpn, pte: Pte) {
+        let rung = pte.rung().expect("set_span needs a superpage PTE");
         let slot = self
-            .block_slot(vpn, true)
-            .expect("block_slot(create) cannot fail");
+            .slot(vpn, rung.level, true)
+            .expect("slot(create) cannot fail");
         let old = slot.swap(pte.0, Ordering::AcqRel);
         if old != 0 && !is_block_word(old) {
-            // Displaced a (cleared) leaf node: reclaim it.
-            // SAFETY: the word held an exclusively owned leaf pointer;
+            // Displaced a (cleared) subtree: reclaim it.
+            // SAFETY: the word held an exclusively owned child pointer;
             // the caller's range lock excludes concurrent walkers.
-            unsafe { self.free_subtree((old & !CHILD_TAG) as *mut PtNode, LEVELS - 1) };
-        }
-    }
-
-    /// Installs a giant PTE covering the [`GIANT_PAGES`]-aligned block
-    /// containing `vpn`. Any existing subtree for the region (its
-    /// entries were cleared by the caller's unmap) is freed. Same
-    /// VA-range lock contract as [`PageTable::set_block`], over the
-    /// whole giant span.
-    pub fn set_giant(&self, vpn: Vpn, pte: Pte) {
-        debug_assert!(pte.giant());
-        let slot = self
-            .giant_slot(vpn, true)
-            .expect("giant_slot(create) cannot fail");
-        let old = slot.swap(pte.0, Ordering::AcqRel);
-        if old != 0 && !is_block_word(old) {
-            // Displaced a (cleared) mid-level subtree: reclaim it.
-            // SAFETY: exclusively owned under the caller's range lock.
-            unsafe { self.free_subtree((old & !CHILD_TAG) as *mut PtNode, LEVELS - 2) };
+            unsafe { self.free_subtree((old & !CHILD_TAG) as *mut PtNode, rung.level + 1) };
         }
     }
 
     /// Frees `node` and every descendant; `slots_level` is the level its
     /// slots index ([`LEVELS`]` - 1` slots hold PTE values, so a node
-    /// there has no children). Block/giant PTE words are values, never
+    /// there has no children). Superpage PTE words are values, never
     /// followed.
     ///
     /// # Safety
@@ -414,156 +401,129 @@ impl PageTable {
         self.nodes.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Demotes a block PTE covering `vpn` into a leaf node of 512
-    /// ordinary PTEs, in place. No-op if no block entry covers `vpn`.
-    /// Returns true when a block was shattered.
-    pub fn shatter_block(&self, vpn: Vpn) -> bool {
-        let Some(slot) = self.block_slot(vpn, false) else {
+    /// Demotes the `rung` PTE covering `vpn` one rung down, in place: a
+    /// node of 512 entries of the next smaller size replaces it, every
+    /// translation preserved. No-op if no `rung` entry covers `vpn`.
+    /// Returns true when an entry was shattered.
+    pub fn shatter(&self, vpn: Vpn, rung: Rung) -> bool {
+        let Some(slot) = self.slot(vpn, rung.level, false) else {
             return false;
         };
         let v = slot.load(Ordering::Acquire);
-        is_block_word(v) && self.shatter_word(slot, v)
+        is_block_word(v) && self.shatter_word(slot, v, rung)
     }
 
-    /// Demotes a giant PTE covering `vpn` into an interior node of 512
-    /// block PTEs, in place. No-op if no giant entry covers `vpn`.
-    /// Returns true when a giant was shattered.
-    pub fn shatter_giant(&self, vpn: Vpn) -> bool {
-        let Some(slot) = self.giant_slot(vpn, false) else {
-            return false;
-        };
-        let v = slot.load(Ordering::Acquire);
-        is_block_word(v) && self.shatter_giant_word(slot, v)
-    }
-
-    /// Reads the entry for `vpn` (non-allocating). Under a block PTE the
-    /// member frame's translation is synthesized, with [`Pte::BLOCK`]
-    /// kept set so callers can recognize the granularity.
+    /// Reads the entry for `vpn` (non-allocating). Under a superpage PTE
+    /// the member frame's translation is synthesized, with the rung's
+    /// bits kept set so callers can recognize the granularity.
     pub fn get(&self, vpn: Vpn) -> Pte {
-        let Some(gslot) = self.giant_slot(vpn, false) else {
-            return Pte::EMPTY;
-        };
-        let gv = gslot.load(Ordering::Acquire);
-        if is_block_word(gv) {
-            let pte = Pte(gv);
-            let off = (vpn & (GIANT_PAGES - 1)) as Pfn;
-            return Pte(((pte.pfn() + off) as u64) << 32 | (gv & 0xFFFF_FFFF));
+        let mut node: &PtNode = &self.root;
+        for level in 0..LEVELS - 1 {
+            let v = node.slots[Self::index(vpn, level)].load(Ordering::Acquire);
+            if v == 0 {
+                return Pte::EMPTY;
+            }
+            if is_block_word(v) {
+                let pte = Pte(v);
+                let off = (vpn & (pte.span() - 1)) as Pfn;
+                return Pte(((pte.pfn() + off) as u64) << 32 | (v & 0xFFFF_FFFF));
+            }
+            // SAFETY: non-block non-zero words are published children.
+            node = unsafe { child(v) };
         }
-        if gv == 0 {
-            return Pte::EMPTY;
-        }
-        // SAFETY: non-block non-zero words are published child pointers.
-        let mid = unsafe { &*((gv & !CHILD_TAG) as *const PtNode) };
-        let slot = &mid.slots[Self::index(vpn, LEVELS - 2)];
-        let v = slot.load(Ordering::Acquire);
-        if is_block_word(v) {
-            let pte = Pte(v);
-            let off = (vpn & (BLOCK_PAGES - 1)) as Pfn;
-            return Pte(((pte.pfn() + off) as u64) << 32 | (pte.0 & 0xFFFF_FFFF));
-        }
-        if v == 0 {
-            return Pte::EMPTY;
-        }
-        // SAFETY: as above.
-        let leaf = unsafe { &*((v & !CHILD_TAG) as *const PtNode) };
-        Pte(leaf.slots[Self::index(vpn, LEVELS - 1)].load(Ordering::Acquire))
+        Pte(node.slots[Self::index(vpn, LEVELS - 1)].load(Ordering::Acquire))
     }
 
-    /// Clears the entry for `vpn`, returning the previous entry. A block
-    /// PTE covering `vpn` is shattered first so only the one page's
-    /// translation is removed.
+    /// Clears the entry for `vpn`, returning the previous entry. A
+    /// superpage PTE covering `vpn` is shattered first so only the one
+    /// page's translation is removed.
     pub fn clear(&self, vpn: Vpn) -> Pte {
-        match self.walk(vpn, false) {
-            None => {
-                // Either absent or covered by a block/giant PTE: shatter
-                // and retry so the single page can be cleared (a giant
-                // shatters to blocks first, then the block to a leaf).
-                if self.shatter_block(vpn) || self.shatter_giant(vpn) {
-                    self.clear(vpn)
-                } else {
-                    Pte::EMPTY
-                }
+        loop {
+            if let Some(slot) = self.slot(vpn, LEVELS - 1, false) {
+                return Pte(slot.swap(0, Ordering::AcqRel));
             }
-            Some(leaf) => Pte(leaf.slots[Self::index(vpn, LEVELS - 1)].swap(0, Ordering::AcqRel)),
+            // Either absent or covered by a superpage PTE: shatter the
+            // covering entry one rung and retry (a giant shatters to
+            // blocks first, then the block to a leaf).
+            if !RUNGS.into_iter().any(|r| self.shatter(vpn, r)) {
+                return Pte::EMPTY;
+            }
         }
     }
 
     /// Clears `[start, start + n)`, invoking `f(vpn, pages, pte)` for
     /// each present entry with the number of pages it spanned — 1 for
-    /// leaf PTEs, [`BLOCK_PAGES`] for block PTEs, so frame-release paths
-    /// can account whole blocks exactly once.
+    /// 4 KiB PTEs, the rung's `pages` for superpage PTEs — so
+    /// frame-release paths can account whole blocks exactly once.
     ///
-    /// A block (or giant) PTE overlapping the range is cleared *whole*
-    /// and reported with its full span and base VPN (even when the range
+    /// A superpage PTE overlapping the range is cleared *whole* and
+    /// reported with its full span and base VPN (even when the range
     /// covers only part of it); callers that need surviving smaller
-    /// translations must demote first via [`PageTable::shatter_block`] /
-    /// [`PageTable::shatter_giant`].
+    /// translations must demote first via [`PageTable::shatter`].
     pub fn clear_range(&self, start: Vpn, n: u64, mut f: impl FnMut(Vpn, u64, Pte)) {
+        // Levels above the top rung hold only child pointers: descend
+        // through them afresh for each top-rung span.
+        let top = RUNGS[RUNGS.len() - 1];
         let end = start + n;
         let mut vpn = start;
         while vpn < end {
-            let giant_base = vpn & !(GIANT_PAGES - 1);
-            let giant_end = giant_base + GIANT_PAGES;
-            let Some(gslot) = self.giant_slot(vpn, false) else {
-                vpn = giant_end.min(end);
-                continue;
+            let stop = ((vpn & !(top.pages - 1)) + top.pages).min(end);
+            vpn = match self.slot(vpn, top.level, false) {
+                Some(slot) => self.clear_slot(slot, top.level, vpn, stop, &mut f),
+                None => stop,
             };
-            let gv = gslot.load(Ordering::Acquire);
-            if is_block_word(gv) {
-                if gslot
-                    .compare_exchange(gv, 0, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    f(giant_base, GIANT_PAGES, Pte(gv));
-                }
-                // Changed under us (or cleared): either way re-examine.
-                if gslot.load(Ordering::Acquire) == 0 {
-                    vpn = giant_end.min(end);
-                }
-                continue;
-            }
-            if gv == 0 {
-                vpn = giant_end.min(end);
-                continue;
-            }
-            // SAFETY: published child pointer (see `child_or_create`).
-            let mid = unsafe { &*((gv & !CHILD_TAG) as *const PtNode) };
-            let gstop = giant_end.min(end);
-            while vpn < gstop {
-                let block_base = vpn & !(BLOCK_PAGES - 1);
-                let block_end = block_base + BLOCK_PAGES;
-                let slot = &mid.slots[Self::index(vpn, LEVELS - 2)];
-                let v = slot.load(Ordering::Acquire);
-                if is_block_word(v) {
-                    if slot
-                        .compare_exchange(v, 0, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        f(block_base, BLOCK_PAGES, Pte(v));
-                    }
-                    // Changed under us (or cleared): re-examine.
-                    if slot.load(Ordering::Acquire) == 0 {
-                        vpn = block_end.min(gstop);
-                    }
-                    continue;
-                }
-                if v == 0 {
-                    vpn = block_end.min(gstop);
-                    continue;
-                }
-                // SAFETY: published child pointer.
-                let leaf = unsafe { &*((v & !CHILD_TAG) as *const PtNode) };
-                let stop = block_end.min(gstop);
-                while vpn < stop {
-                    let old =
-                        Pte(leaf.slots[Self::index(vpn, LEVELS - 1)].swap(0, Ordering::AcqRel));
-                    if old.present() {
-                        f(vpn, 1, old);
-                    }
-                    vpn += 1;
-                }
-            }
         }
+    }
+
+    /// Clears `[vpn, stop)`, all under `slot` at interior `level`, for
+    /// [`PageTable::clear_range`]. Returns the VPN to resume from: `stop`,
+    /// or `vpn` itself when a superpage word changed under the clear and
+    /// must be re-examined.
+    fn clear_slot<F: FnMut(Vpn, u64, Pte)>(
+        &self,
+        slot: &Atomic64,
+        level: usize,
+        mut vpn: Vpn,
+        stop: Vpn,
+        f: &mut F,
+    ) -> Vpn {
+        let v = slot.load(Ordering::Acquire);
+        if is_block_word(v) {
+            let pages = Self::level_pages(level);
+            if slot
+                .compare_exchange(v, 0, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                f(vpn & !(pages - 1), pages, Pte(v));
+            }
+            // Changed under us (or cleared): either way re-examine.
+            return if slot.load(Ordering::Acquire) == 0 {
+                stop
+            } else {
+                vpn
+            };
+        }
+        if v == 0 {
+            return stop;
+        }
+        // SAFETY: published child pointer.
+        let node = unsafe { child(v) };
+        if level + 1 == LEVELS - 1 {
+            for vpn in vpn..stop {
+                let old = Pte(node.slots[Self::index(vpn, level + 1)].swap(0, Ordering::AcqRel));
+                if old.present() {
+                    f(vpn, 1, old);
+                }
+            }
+            return stop;
+        }
+        let pages = Self::level_pages(level + 1);
+        while vpn < stop {
+            let sub = ((vpn & !(pages - 1)) + pages).min(stop);
+            let slot = &node.slots[Self::index(vpn, level + 1)];
+            vpn = self.clear_slot(slot, level + 1, vpn, sub, f);
+        }
+        stop
     }
 
     /// Bytes of memory consumed by table nodes (4 KB-equivalent per node,
@@ -586,22 +546,15 @@ impl Default for PageTable {
 
 impl Drop for PageTable {
     fn drop(&mut self) {
-        fn free_node(node: &PtNode, level: usize) {
-            if level >= LEVELS - 1 {
-                return;
-            }
-            for slot in node.slots.iter() {
-                let v = slot.load(Ordering::Acquire);
-                // Block PTEs are values, not child pointers: skip them.
-                if v != 0 && !is_block_word(v) {
-                    // SAFETY: interior slots hold exclusively owned child
-                    // boxes; `&mut self` guarantees no concurrent walkers.
-                    let child = unsafe { Box::from_raw((v & !CHILD_TAG) as *mut PtNode) };
-                    free_node(&child, level + 1);
-                }
+        for slot in self.root.slots.iter() {
+            let v = slot.load(Ordering::Acquire);
+            // Superpage PTEs are values, not child pointers: skip them.
+            if v != 0 && !is_block_word(v) {
+                // SAFETY: interior slots hold exclusively owned child
+                // boxes; `&mut self` guarantees no concurrent walkers.
+                unsafe { self.free_subtree((v & !CHILD_TAG) as *mut PtNode, 1) };
             }
         }
-        free_node(&self.root, 0);
     }
 }
 
@@ -624,6 +577,29 @@ mod tests {
         let r = Pte::new(7, false);
         assert!(!r.writable());
         assert!(!Pte::EMPTY.present());
+    }
+
+    #[test]
+    fn rung_table_matches_levels() {
+        for (i, rung) in RUNGS.into_iter().enumerate() {
+            assert_eq!(rung.pages, 1 << rung.order);
+            assert_eq!(rung.pages, PageTable::level_pages(rung.level));
+            assert_eq!(Rung::with_pages(rung.pages), Some(rung));
+            let pte = Pte::new_span(7, true, rung);
+            assert_eq!(
+                (pte.rung(), pte.span(), pte.pfn()),
+                (Some(rung), rung.pages, 7)
+            );
+            assert!(pte.block() && pte.writable());
+            if i > 0 {
+                assert_eq!(rung.pages, RUNGS[i - 1].pages << LEVEL_BITS);
+            }
+        }
+        assert_eq!(
+            (Pte::new(7, true).rung(), Pte::new(7, true).span()),
+            (None, 1)
+        );
+        assert_eq!(Rung::with_pages(1), None);
     }
 
     #[test]
@@ -667,35 +643,37 @@ mod tests {
 
     #[test]
     fn block_pte_roundtrip() {
-        let pt = PageTable::new();
-        let base: Vpn = 512 * 3;
-        pt.set_block(base + 7, Pte::new_block(1000, true));
-        // Every member page translates to base + offset.
-        for off in [0u64, 1, 100, 511] {
-            let p = pt.get(base + off);
-            assert!(p.present() && p.block(), "offset {off}");
-            assert_eq!(p.pfn(), 1000 + off as Pfn);
-            assert!(p.writable());
+        for rung in RUNGS {
+            let pt = PageTable::new();
+            let base: Vpn = rung.pages * 3;
+            pt.set_span(base + 7, Pte::new_span(1000, true, rung));
+            // Every member page translates to base + offset.
+            for off in [0u64, 1, 100, rung.pages / 2, rung.pages - 1] {
+                let p = pt.get(base + off);
+                assert!(p.present() && p.block(), "offset {off}");
+                assert_eq!(p.pfn(), 1000 + off as Pfn);
+                assert!(p.writable());
+            }
+            assert!(!pt.get(base - 1).present());
+            assert!(!pt.get(base + rung.pages).present());
+            let mut seen = Vec::new();
+            pt.clear_range(base, rung.pages, |vpn, pages, pte| {
+                seen.push((vpn, pages, pte));
+            });
+            let (vpn, pages, old) = seen[0];
+            assert_eq!(seen.len(), 1);
+            assert_eq!((vpn, pages), (base, rung.pages));
+            assert!(old.block());
+            assert_eq!(old.pfn(), 1000);
+            assert_eq!(old.span(), rung.pages);
+            assert!(!pt.get(base).present());
         }
-        assert!(!pt.get(base - 1).present());
-        assert!(!pt.get(base + 512).present());
-        let mut seen = Vec::new();
-        pt.clear_range(base, BLOCK_PAGES, |vpn, pages, pte| {
-            seen.push((vpn, pages, pte));
-        });
-        let (vpn, pages, old) = seen[0];
-        assert_eq!(seen.len(), 1);
-        assert_eq!((vpn, pages), (base, BLOCK_PAGES));
-        assert!(old.block());
-        assert_eq!(old.pfn(), 1000);
-        assert_eq!(old.span(), BLOCK_PAGES);
-        assert!(!pt.get(base).present());
     }
 
     #[test]
     fn block_install_allocates_no_leaf() {
         let pt = PageTable::new();
-        pt.set_block(0, Pte::new_block(0, false));
+        pt.set_span(0, Pte::new_span(0, false, RUNGS[0]));
         let with_block = pt.node_count();
         // A 4 KiB install of the same range would need one more node
         // (the leaf); the block entry terminates the walk early.
@@ -706,93 +684,86 @@ mod tests {
 
     #[test]
     fn shatter_preserves_translations() {
-        let pt = PageTable::new();
-        let base: Vpn = 512 * 5;
-        pt.set_block(base, Pte::new_block(2000, true));
-        assert!(pt.shatter_block(base + 3));
-        assert!(!pt.shatter_block(base), "second shatter is a no-op");
-        for off in [0u64, 9, 511] {
-            let p = pt.get(base + off);
-            assert!(p.present() && !p.block(), "offset {off} lost");
-            assert_eq!(p.pfn(), 2000 + off as Pfn);
-            assert!(p.writable());
+        for rung in RUNGS {
+            let pt = PageTable::new();
+            let base: Vpn = rung.pages * 5;
+            pt.set_span(base, Pte::new_span(2000, true, rung));
+            assert!(pt.shatter(base + 3, rung));
+            assert!(!pt.shatter(base, rung), "second shatter is a no-op");
+            for off in [0u64, 9, rung.pages - 1] {
+                let p = pt.get(base + off);
+                // One rung down: 4 KiB entries under a block.
+                assert!(p.present(), "offset {off} lost");
+                assert_eq!(p.span(), rung.pages >> LEVEL_BITS, "offset {off}");
+                assert_eq!(p.pfn(), 2000 + off as Pfn);
+                assert!(p.writable());
+            }
+            // Clearing a single page after shatter leaves the others.
+            let old = pt.clear(base + 9);
+            assert_eq!(old.pfn(), 2009);
+            assert!(pt.get(base + 10).present());
+            assert!(!pt.get(base + 9).present());
         }
-        // Clearing a single page after shatter leaves the others.
-        let old = pt.clear(base + 9);
-        assert_eq!(old.pfn(), 2009);
-        assert!(pt.get(base + 10).present());
-        assert!(!pt.get(base + 9).present());
     }
 
     #[test]
     fn set_over_block_shatters_implicitly() {
-        let pt = PageTable::new();
-        let base: Vpn = 1024;
-        pt.set_block(base, Pte::new_block(3000, false));
-        // A 4 KiB install inside the block demotes it rather than
-        // corrupting the interior slot.
-        let old = pt.set(base + 2, Pte::new(77, true));
-        assert_eq!(old.pfn(), 3002, "displaced the synthesized member PTE");
-        assert_eq!(pt.get(base + 2).pfn(), 77);
-        assert_eq!(pt.get(base + 1).pfn(), 3001);
+        for rung in RUNGS {
+            let pt = PageTable::new();
+            let base: Vpn = rung.pages * 2;
+            pt.set_span(base, Pte::new_span(3000, false, rung));
+            // A 4 KiB install inside the superpage demotes it rather than
+            // corrupting the interior slot.
+            let old = pt.set(base + 2, Pte::new(77, true));
+            assert_eq!(old.pfn(), 3002, "displaced the synthesized member PTE");
+            assert_eq!(pt.get(base + 2).pfn(), 77);
+            assert_eq!(pt.get(base + 1).pfn(), 3001);
+        }
     }
 
     #[test]
     fn clear_range_reports_block_span_once() {
-        let pt = PageTable::new();
-        let base: Vpn = 512 * 8;
-        pt.set_block(base, Pte::new_block(4000, true));
-        pt.set(base - 1, Pte::new(9, false));
-        let mut seen = Vec::new();
-        // Range partially overlaps the block: the whole block entry is
-        // cleared and reported exactly once with its full span.
-        pt.clear_range(base - 1, 10, |vpn, pages, pte| {
-            seen.push((vpn, pages, pte.pfn()));
-        });
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0], (base - 1, 1, 9));
-        assert_eq!(seen[1], (base, BLOCK_PAGES, 4000));
-        assert!(!pt.get(base + 100).present());
+        for rung in RUNGS {
+            let pt = PageTable::new();
+            let base: Vpn = rung.pages * 8;
+            pt.set_span(base, Pte::new_span(4000, true, rung));
+            pt.set(base - 1, Pte::new(9, false));
+            let mut seen = Vec::new();
+            // Range partially overlaps the superpage: the whole entry is
+            // cleared and reported exactly once with its full span.
+            pt.clear_range(base - 1, 10, |vpn, pages, pte| {
+                seen.push((vpn, pages, pte.pfn()));
+            });
+            assert_eq!(seen.len(), 2);
+            assert_eq!(seen[0], (base - 1, 1, 9));
+            assert_eq!(seen[1], (base, rung.pages, 4000));
+            assert!(!pt.get(base + 100).present());
+        }
     }
 
     #[test]
-    fn giant_pte_roundtrip_and_cascade() {
+    fn giant_shatter_cascades_one_rung_at_a_time() {
+        let [block, giant] = RUNGS;
         let pt = PageTable::new();
         let base: Vpn = GIANT_PAGES * 2;
-        pt.set_giant(base, Pte::new_giant(100_000, true));
-        // Members translate across the whole gigabyte.
-        for off in [0u64, 1, 511, 512, 100_000, GIANT_PAGES - 1] {
-            let p = pt.get(base + off);
-            assert!(p.present() && p.block(), "offset {off}");
-            assert_eq!(p.pfn(), 100_000 + off as Pfn);
-        }
-        assert!(!pt.get(base - 1).present());
-        assert!(!pt.get(base + GIANT_PAGES).present());
+        pt.set_span(base, Pte::new_span(100_000, true, giant));
         // One entry, no mid/leaf nodes for the region.
         let with_giant = pt.node_count();
         // Cascade: shatter to blocks, then one block to a leaf.
-        assert!(pt.shatter_giant(base + 777));
-        assert!(!pt.shatter_giant(base), "second shatter is a no-op");
+        assert!(pt.shatter(base + 777, giant));
+        assert!(!pt.shatter(base, giant), "second shatter is a no-op");
         assert_eq!(pt.node_count(), with_giant + 1);
         let p = pt.get(base + 777);
-        assert!(p.present() && p.block() && !p.giant());
+        assert_eq!(p.rung(), Some(block));
         assert_eq!(p.pfn(), 100_777);
         // A 4 KiB install inside shatters the covering block implicitly.
         let old = pt.set(base + 777, Pte::new(5, true));
         assert_eq!(old.pfn(), 100_777);
         assert_eq!(pt.get(base + 777).pfn(), 5);
         assert_eq!(pt.get(base + 778).pfn(), 100_778);
-        // clear_range over a giant entry reports it whole, once.
-        let base2: Vpn = GIANT_PAGES * 5;
-        pt.set_giant(base2, Pte::new_giant(7_000_000, false));
-        let mut seen = Vec::new();
-        pt.clear_range(base2 + 10, 20, |vpn, pages, pte| {
-            seen.push((vpn, pages, pte.pfn()));
-        });
-        assert_eq!(seen, vec![(base2, GIANT_PAGES, 7_000_000)]);
-        assert!(!pt.get(base2).present());
         // A single-page clear under a fresh giant cascades too.
-        pt.set_giant(base2, Pte::new_giant(7_000_000, false));
+        let base2: Vpn = GIANT_PAGES * 5;
+        pt.set_span(base2, Pte::new_span(7_000_000, false, giant));
         let old = pt.clear(base2 + 3);
         assert_eq!(old.pfn(), 7_000_003);
         assert!(pt.get(base2 + 4).present());
@@ -800,17 +771,17 @@ mod tests {
     }
 
     #[test]
-    fn set_giant_reclaims_displaced_subtree() {
-        let pt = PageTable::new();
+    fn set_span_reclaims_displaced_subtree() {
         let base: Vpn = GIANT_PAGES * 3;
+        let pt = PageTable::new();
         // Build a two-level subtree inside the giant region, clear the
         // entries (callers unmap first), then install the giant.
         pt.set(base + 5, Pte::new(1, true));
         pt.set(base + 512 * 7 + 3, Pte::new(2, true));
-        pt.set_block(base + 512 * 9, Pte::new_block(3, true));
+        pt.set_span(base + 512 * 9, Pte::new_span(3, true, RUNGS[0]));
         pt.clear_range(base, GIANT_PAGES, |_, _, _| {});
         let before = pt.node_count();
-        pt.set_giant(base, Pte::new_giant(50_000, true));
+        pt.set_span(base, Pte::new_span(50_000, true, RUNGS[1]));
         // The mid node and both leaves were reclaimed.
         assert_eq!(pt.node_count(), before - 3);
         assert_eq!(pt.get(base + 5).pfn(), 50_005);
@@ -818,9 +789,10 @@ mod tests {
 
     #[test]
     fn blocks_freed_on_drop() {
-        // Drop must not confuse block PTEs with child pointers.
+        // Drop must not confuse superpage PTEs with child pointers.
         let pt = PageTable::new();
-        pt.set_block(0, Pte::new_block(1, true));
+        pt.set_span(0, Pte::new_span(1, true, RUNGS[0]));
+        pt.set_span(GIANT_PAGES, Pte::new_span(1, true, RUNGS[1]));
         pt.set(512, Pte::new(2, true));
         drop(pt);
     }

@@ -8,16 +8,16 @@
 
 use rvm_mem::Pfn;
 
-use crate::pagetable::{BLOCK_PAGES, GIANT_PAGES};
+use crate::pagetable::RUNGS;
 use crate::{Asid, Vpn};
 
 /// One TLB entry.
 ///
 /// `span` is the number of pages the entry translates: 1 for ordinary
-/// fills, [`BLOCK_PAGES`] or [`GIANT_PAGES`] for superpage fills (whose
-/// `vpn` is the block base and `pfn` the base of the contiguous frame
-/// block). A lookup inside the span resolves to `pfn + (vpn -
-/// entry.vpn)`.
+/// fills, a [`Rung`](crate::pagetable::Rung)'s `pages` for superpage
+/// fills (whose `vpn` is the span's base and `pfn` the base of the
+/// contiguous frame block). A lookup inside the span resolves to `pfn +
+/// (vpn - entry.vpn)`.
 #[derive(Clone, Copy, Debug)]
 pub struct TlbEntry {
     /// Address-space identifier.
@@ -29,7 +29,7 @@ pub struct TlbEntry {
     /// Frame generation at fill time (the base frame's, for spans; block
     /// frames only ever free as a unit, so the base is a faithful proxy).
     pub gen: u64,
-    /// Pages translated (1 or [`BLOCK_PAGES`]).
+    /// Pages translated (1, or one rung's `pages`).
     pub span: u64,
     /// Write permission.
     pub writable: bool,
@@ -82,31 +82,30 @@ impl Tlb {
         (vpn as usize) & self.mask
     }
 
-    /// Looks up a translation. Probes the page's own slot first (4 KiB
-    /// entries), then the covering block base's slot, then the covering
-    /// giant base's slot (span entries) — the software analogue of
-    /// hardware's split 4K/2M/1G TLB probe.
+    /// The slots an entry translating `vpn` can sit in: the page's own
+    /// (4 KiB entries), then each rung's covering base, smallest rung
+    /// first (span entries index by their base), skipping a base equal to
+    /// the one probed before it — the software analogue of hardware's
+    /// split 4K/2M/1G TLB probe.
+    #[inline]
+    fn probe_slots(&self, vpn: Vpn) -> impl Iterator<Item = usize> + '_ {
+        let mut prev = None;
+        std::iter::once(1)
+            .chain(RUNGS.iter().map(|r| r.pages()))
+            .filter_map(move |pages| {
+                let base = vpn & !(pages - 1);
+                let fresh = prev != Some(base);
+                prev = Some(base);
+                fresh.then(|| self.slot(base))
+            })
+    }
+
+    /// Looks up a translation, probing [`Tlb::probe_slots`] in order.
     #[inline]
     pub fn lookup(&self, asid: Asid, vpn: Vpn) -> Option<TlbEntry> {
-        let e = self.entries[self.slot(vpn)];
-        if e.covers(asid, vpn) {
-            return Some(e);
-        }
-        let base = vpn & !(BLOCK_PAGES - 1);
-        if base != vpn {
-            let e = self.entries[self.slot(base)];
-            if e.covers(asid, vpn) {
-                return Some(e);
-            }
-        }
-        let gbase = vpn & !(GIANT_PAGES - 1);
-        if gbase != vpn && gbase != base {
-            let e = self.entries[self.slot(gbase)];
-            if e.covers(asid, vpn) {
-                return Some(e);
-            }
-        }
-        None
+        self.probe_slots(vpn)
+            .map(|i| self.entries[i])
+            .find(|e| e.covers(asid, vpn))
     }
 
     /// Fills (or replaces) the entry for `vpn` (span entries index by
@@ -124,28 +123,11 @@ impl Tlb {
     /// Invalidates any entry translating `(asid, vpn)` — a 4 KiB entry
     /// or a span entry covering the page.
     pub fn invalidate_page(&mut self, asid: Asid, vpn: Vpn) {
-        let idx = self.slot(vpn);
-        let e = &mut self.entries[idx];
-        if e.covers(asid, vpn) {
-            e.valid = false;
-            return;
-        }
-        let base = vpn & !(BLOCK_PAGES - 1);
-        if base != vpn {
-            let idx = self.slot(base);
-            let e = &mut self.entries[idx];
-            if e.covers(asid, vpn) {
-                e.valid = false;
-                return;
-            }
-        }
-        let gbase = vpn & !(GIANT_PAGES - 1);
-        if gbase != vpn && gbase != base {
-            let idx = self.slot(gbase);
-            let e = &mut self.entries[idx];
-            if e.covers(asid, vpn) {
-                e.valid = false;
-            }
+        let hit = self
+            .probe_slots(vpn)
+            .find(|&i| self.entries[i].covers(asid, vpn));
+        if let Some(i) = hit {
+            self.entries[i].valid = false;
         }
     }
 
@@ -161,23 +143,17 @@ impl Tlb {
             }
             return;
         }
-        // Span entries overlapping the range sit at their block (or
-        // giant) bases, which may precede `start`: probe each candidate.
-        let mut base = start & !(BLOCK_PAGES - 1);
-        while base < start + n {
-            let e = &mut self.entries[self.slot(base)];
-            if e.span > 1 && e.overlaps(asid, start, n) {
-                e.valid = false;
+        // Span entries overlapping the range sit at their rung bases,
+        // which may precede `start`: probe each candidate of each rung.
+        for rung in RUNGS {
+            let mut base = start & !(rung.pages() - 1);
+            while base < start + n {
+                let e = &mut self.entries[self.slot(base)];
+                if e.span > 1 && e.overlaps(asid, start, n) {
+                    e.valid = false;
+                }
+                base += rung.pages();
             }
-            base += BLOCK_PAGES;
-        }
-        let mut gbase = start & !(GIANT_PAGES - 1);
-        while gbase < start + n {
-            let e = &mut self.entries[self.slot(gbase)];
-            if e.span > 1 && e.overlaps(asid, start, n) {
-                e.valid = false;
-            }
-            gbase += GIANT_PAGES;
         }
         for vpn in start..start + n {
             let e = &mut self.entries[self.slot(vpn)];
@@ -210,6 +186,7 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pagetable::Rung;
 
     fn entry(asid: Asid, vpn: Vpn, pfn: Pfn) -> TlbEntry {
         TlbEntry {
@@ -223,9 +200,9 @@ mod tests {
         }
     }
 
-    fn span_entry(asid: Asid, base: Vpn, pfn: Pfn) -> TlbEntry {
+    fn span_entry(asid: Asid, base: Vpn, pfn: Pfn, rung: Rung) -> TlbEntry {
         TlbEntry {
-            span: BLOCK_PAGES,
+            span: rung.pages(),
             ..entry(asid, base, pfn)
         }
     }
@@ -268,40 +245,44 @@ mod tests {
 
     #[test]
     fn span_entry_covers_whole_block() {
-        let mut t = Tlb::new(64);
-        let base = BLOCK_PAGES * 3;
-        t.insert(span_entry(1, base, 5000));
-        // Any page of the block hits, through the base-slot probe.
-        for off in [0u64, 1, 63, 64, 100, 511] {
-            let e = t
-                .lookup(1, base + off)
-                .unwrap_or_else(|| panic!("off {off}"));
-            assert_eq!(e.pfn + (base + off - e.vpn) as Pfn, 5000 + off as Pfn);
+        for rung in RUNGS {
+            let mut t = Tlb::new(64);
+            let base = rung.pages() * 3;
+            t.insert(span_entry(1, base, 5000, rung));
+            // Any page of the span hits, through a base-slot probe.
+            for off in [0u64, 1, 63, 64, 100, 511, rung.pages() - 1] {
+                let e = t
+                    .lookup(1, base + off)
+                    .unwrap_or_else(|| panic!("off {off}"));
+                assert_eq!(e.pfn + (base + off - e.vpn) as Pfn, 5000 + off as Pfn);
+            }
+            assert!(t.lookup(1, base - 1).is_none());
+            assert!(t.lookup(1, base + rung.pages()).is_none());
+            assert!(t.lookup(2, base + 4).is_none(), "other asid");
+            // A 4 KiB entry in a conflicting slot coexists until evicted.
+            t.insert(entry(1, base + 7, 9));
+            assert_eq!(t.lookup(1, base + 7).unwrap().pfn, 9);
+            assert!(t.lookup(1, base + 8).is_some(), "span survives");
         }
-        assert!(t.lookup(1, base - 1).is_none());
-        assert!(t.lookup(1, base + BLOCK_PAGES).is_none());
-        assert!(t.lookup(2, base + 4).is_none(), "other asid");
-        // A 4 KiB entry in a conflicting slot coexists until evicted.
-        t.insert(entry(1, base + 7, 9));
-        assert_eq!(t.lookup(1, base + 7).unwrap().pfn, 9);
-        assert!(t.lookup(1, base + 8).is_some(), "span survives");
     }
 
     #[test]
     fn invalidate_range_kills_overlapping_span() {
-        let mut t = Tlb::new(64);
-        let base = BLOCK_PAGES * 2;
-        t.insert(span_entry(1, base, 1000));
-        // Range strictly inside the block, not touching the base page.
-        t.invalidate_range(1, base + 100, 4);
-        assert!(t.lookup(1, base).is_none(), "span must die on overlap");
-        // Disjoint range leaves a fresh span alone.
-        t.insert(span_entry(1, base, 1000));
-        t.invalidate_range(1, base + BLOCK_PAGES, 16);
-        assert!(t.lookup(1, base + 5).is_some());
-        // invalidate_page inside the span kills it too.
-        t.invalidate_page(1, base + 300);
-        assert!(t.lookup(1, base + 5).is_none());
+        for rung in RUNGS {
+            let mut t = Tlb::new(64);
+            let base = rung.pages() * 2;
+            t.insert(span_entry(1, base, 1000, rung));
+            // Range strictly inside the span, not touching the base page.
+            t.invalidate_range(1, base + 100, 4);
+            assert!(t.lookup(1, base).is_none(), "span must die on overlap");
+            // Disjoint range leaves a fresh span alone.
+            t.insert(span_entry(1, base, 1000, rung));
+            t.invalidate_range(1, base + rung.pages(), 16);
+            assert!(t.lookup(1, base + 5).is_some());
+            // invalidate_page inside the span kills it too.
+            t.invalidate_page(1, base + 300);
+            assert!(t.lookup(1, base + 5).is_none());
+        }
     }
 
     #[test]

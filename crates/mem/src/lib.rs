@@ -88,20 +88,15 @@ pub struct AllocEvents {
 /// Size of a physical frame / virtual page in bytes.
 pub const FRAME_SIZE: usize = 4096;
 
-/// log2 of the frames in a superpage-backing block (2 MiB / 4 KiB).
+/// log2 of the frames in a superpage-backing block (2 MiB / 4 KiB), the
+/// order [`FramePool::alloc_block`] takes for a block PTE.
 pub const BLOCK_ORDER: u8 = 9;
-
-/// Frames in one contiguous block ([`FramePool::alloc_block`]).
-pub const BLOCK_PAGES: usize = 1 << BLOCK_ORDER;
 
 /// log2 of the frames in a giant-superpage block (1 GiB / 4 KiB): the
 /// second granularity rung. Giant blocks flow through the same
 /// `alloc_block`/`free_block`/`retain_block` machinery as 2 MiB blocks —
 /// only the order differs.
 pub const GIANT_ORDER: u8 = 2 * BLOCK_ORDER;
-
-/// Frames in one contiguous giant block.
-pub const GIANT_PAGES: usize = 1 << GIANT_ORDER;
 
 /// Physical frame number.
 pub type Pfn = u32;
@@ -118,8 +113,9 @@ const MAX_CHUNKS: usize = 32_768;
 /// Slot kind: the frame is referenced page-by-page; release frees one
 /// frame.
 const KIND_PAGE: u8 = 0;
-/// Slot kind: the frame heads a contiguous [`BLOCK_PAGES`] block whose
-/// members are never counted individually; release frees the block.
+/// Slot kind: the frame heads a contiguous block of `1 << order` frames
+/// whose members are never counted individually; release frees the
+/// block.
 const KIND_BLOCK: u8 = 1;
 
 /// The Refcache payload embedded in every frame-table slot: enough
@@ -1494,12 +1490,12 @@ mod tests {
         let pool = FramePool::new(2);
         let base = pool.alloc_block(0, BLOCK_ORDER);
         // Contiguous and writable across the whole block.
-        for i in 0..BLOCK_PAGES {
+        for i in 0..1usize << BLOCK_ORDER {
             let pfn = base + i as Pfn;
             assert_eq!(pool.read_u64(pfn, 0), 0, "frame {i} not zeroed");
             pool.write_u64(pfn, 0, i as u64);
         }
-        let gens: Vec<u64> = (0..BLOCK_PAGES)
+        let gens: Vec<u64> = (0..1usize << BLOCK_ORDER)
             .map(|i| pool.generation(base + i as Pfn))
             .collect();
         pool.free_block(0, base, BLOCK_ORDER);
@@ -1524,8 +1520,8 @@ mod tests {
                                                      // Freed from core 1 (node 1): returns whole to node 0's block
                                                      // reservoir.
         pool.free_block(1, base, BLOCK_ORDER);
-        assert_eq!(pool.stats().remote_frees, BLOCK_PAGES as u64);
-        assert_eq!(pool.stats().cross_node_frees, BLOCK_PAGES as u64);
+        assert_eq!(pool.stats().remote_frees, 1u64 << BLOCK_ORDER);
+        assert_eq!(pool.stats().cross_node_frees, 1u64 << BLOCK_ORDER);
         let other = pool.alloc_block(1, BLOCK_ORDER);
         assert_ne!(other, base, "node 1 must not see node 0's block");
         assert_eq!(pool.alloc_block(0, BLOCK_ORDER), base);
@@ -1602,14 +1598,14 @@ mod tests {
         let pool = FramePool::new(1);
         let cache = Refcache::new(1);
         let base = pool.alloc_block(0, BLOCK_ORDER);
-        assert_eq!(pool.outstanding_frames(), BLOCK_PAGES as u64);
+        assert_eq!(pool.outstanding_frames(), 1u64 << BLOCK_ORDER);
         // One reference for the fold, then adoption-style inc to 512 and
         // per-page release — the demotion lifecycle.
         let r = pool.retain_block(&cache, 0, base, BLOCK_ORDER, 1);
-        for _ in 1..BLOCK_PAGES {
+        for _ in 1..1u64 << BLOCK_ORDER {
             pool.ref_inc(&cache, 0, r);
         }
-        for _ in 0..BLOCK_PAGES - 1 {
+        for _ in 0..(1u64 << BLOCK_ORDER) - 1 {
             pool.ref_dec(&cache, 0, r);
         }
         cache.quiesce();
@@ -1625,16 +1621,16 @@ mod tests {
         let pool = FramePool::new(1);
         let a = pool.alloc(0);
         let b = pool.alloc_block(0, BLOCK_ORDER);
-        assert_eq!(pool.outstanding_frames(), 1 + BLOCK_PAGES as u64);
+        assert_eq!(pool.outstanding_frames(), 1 + (1u64 << BLOCK_ORDER));
         pool.free(0, a);
-        assert_eq!(pool.outstanding_frames(), BLOCK_PAGES as u64);
+        assert_eq!(pool.outstanding_frames(), 1u64 << BLOCK_ORDER);
         pool.free_block(0, b, BLOCK_ORDER);
         assert_eq!(pool.outstanding_frames(), 0);
         // Reservations are not outstanding until drawn.
         pool.reserve(0, 1, BLOCK_ORDER);
         assert_eq!(pool.outstanding_frames(), 0);
         pool.alloc_block(0, BLOCK_ORDER);
-        assert_eq!(pool.outstanding_frames(), BLOCK_PAGES as u64);
+        assert_eq!(pool.outstanding_frames(), 1u64 << BLOCK_ORDER);
     }
 
     #[test]

@@ -277,7 +277,7 @@ mod tests {
             let mut seen = 0u64;
             let mut lo = u64::MAX;
             let mut hi = 0;
-            g.for_each_expanded_value_mut(|vpn, v| {
+            g.for_each_expanded_mut(..=1, |vpn, v| {
                 assert_eq!(*v, 4);
                 *v += 1;
                 seen += 1;
@@ -293,7 +293,7 @@ mod tests {
         // A lock that expanded nothing visits nothing.
         let mut g = t.lock_range(0, start + 7, start + 8, LockMode::ExpandFolded);
         let mut seen = 0;
-        g.for_each_expanded_value_mut(|_, _| seen += 1);
+        g.for_each_expanded_mut(..=1, |_, _| seen += 1);
         assert_eq!(seen, 0);
     }
 

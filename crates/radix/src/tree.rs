@@ -43,6 +43,7 @@
 //!   the hint's pin is surrendered at every Refcache flush so collapse is
 //!   delayed by at most one epoch. See DESIGN.md §5 for the invariants.
 
+use std::ops::RangeBounds;
 use std::sync::Arc;
 
 use rvm_refcache::weak::LOCK_BIT;
@@ -1217,22 +1218,32 @@ impl<V: RadixValue> RangeGuard<'_, V> {
         None
     }
 
-    /// Applies `f(vpn, value)` to every present value of every *leaf*
-    /// node this lock operation created by expansion (whole-node units).
+    /// Applies `f(vpn, value)` to every value this lock operation cloned
+    /// by expansion into a node whose slot span lies in `spans`
+    /// (whole-node units): page values in expanded leaves (span 1),
+    /// folded values in expanded interior nodes.
     ///
-    /// Expanded leaves hold clones of the displaced folded template in
-    /// **all** their slots — including slots outside the requested range
-    /// — and every slot lock is born held until the guard drops, so the
+    /// Expansion clones the displaced folded template into **all** the
+    /// new node's slots — including slots outside the requested range —
+    /// and every slot lock is born held until the guard drops, so the
     /// caller has exclusive access to fix up clone-sensitive state (the
-    /// superpage demotion protocol adopts block references here before
-    /// any other core can observe the per-page copies).
-    pub fn for_each_expanded_value_mut(&mut self, mut f: impl FnMut(Vpn, &mut V)) {
+    /// superpage demotion protocol adopts block references here, one rung
+    /// at a time, before any other core can observe the copies).
+    pub fn for_each_expanded_mut(
+        &mut self,
+        spans: impl RangeBounds<u64>,
+        mut f: impl FnMut(Vpn, &mut V),
+    ) {
         for unit in self.units.iter() {
-            if let Unit::WholeNode { node } = unit {
-                let n = nref(*node);
-                if !n.is_leaf() {
-                    continue;
-                }
+            let Unit::WholeNode { node } = unit else {
+                continue;
+            };
+            let n = nref(*node);
+            let span = n.slot_span();
+            if !spans.contains(&span) {
+                continue;
+            }
+            if n.is_leaf() {
                 for (idx, slot) in n.leaf().iter().enumerate() {
                     let st = slot.status.load(Ordering::Acquire);
                     debug_assert!(st & LOCK_BIT != 0, "expanded slot not locked");
@@ -1244,41 +1255,22 @@ impl<V: RadixValue> RangeGuard<'_, V> {
                         }
                     }
                 }
+                continue;
             }
-        }
-    }
-
-    /// Applies `f(start_vpn, pages, value)` to every *folded* slot of
-    /// every **interior** node this lock operation created by expansion.
-    ///
-    /// Expanding a folded giant slot clones the giant template into all
-    /// 512 child slots as block-spanning folds, born locked until the
-    /// guard drops — the giant→block demote cascade. As with
-    /// [`RangeGuard::for_each_expanded_value_mut`], the caller has
-    /// exclusive access to fix up clone-sensitive state (adopting block
-    /// references) before any other core can observe the copies.
-    pub fn for_each_expanded_fold_mut(&mut self, mut f: impl FnMut(Vpn, u64, &mut V)) {
-        for unit in self.units.iter() {
-            if let Unit::WholeNode { node } = unit {
-                let n = nref(*node);
-                if n.is_leaf() {
-                    continue;
-                }
-                let span = n.slot_span();
-                for (idx, slot) in n.interior().iter().enumerate() {
-                    let w = slot.load(Ordering::Acquire);
-                    // In-range slots this same descent expanded *further*
-                    // are TAG_CHILD and already published-and-unlocked
-                    // (expand_slot's release store); only the FOLDED
-                    // clones are still born locked.
-                    if slot_tag(w) == TAG_FOLDED {
-                        debug_assert!(w & LOCK_BIT != 0, "expanded fold not locked");
-                        // SAFETY: the slot lock is born held by this
-                        // guard's whole-node unit.
-                        f(n.base_vpn + idx as u64 * span, span, unsafe {
-                            &mut *(slot_ptr(w) as *mut V)
-                        });
-                    }
+            for (idx, slot) in n.interior().iter().enumerate() {
+                let w = slot.load(Ordering::Acquire);
+                // In-range slots this same descent expanded *further* are
+                // TAG_CHILD and already published-and-unlocked
+                // (expand_slot's release store); their clones are visited
+                // at the smaller span. Only the FOLDED clones are still
+                // born locked.
+                if slot_tag(w) == TAG_FOLDED {
+                    debug_assert!(w & LOCK_BIT != 0, "expanded fold not locked");
+                    // SAFETY: the slot lock is born held by this guard's
+                    // whole-node unit.
+                    f(n.base_vpn + idx as u64 * span, unsafe {
+                        &mut *(slot_ptr(w) as *mut V)
+                    });
                 }
             }
         }
