@@ -3,7 +3,7 @@
 //!
 //! The sweep drives every backend through `rvm_backend::build()` over
 //! the disjoint mmap/touch/munmap workload on 1..N simulated cores
-//! (Figure 7's experiment), recording ops per virtual second, per-core
+//! (Figure 5 local's experiment), recording ops per virtual second, per-core
 //! retention vs. 1 core, remote cache-line transfers per op, and
 //! shootdown IPIs per op. The gate (radix retention ≥ 70 % at max
 //! cores, O(1) remote traffic per op, and a strictly better slope than
@@ -124,7 +124,7 @@ fn main() {
     println!("{{");
     println!("  \"schema\": 1,");
     println!("  \"bench\": \"scale\",");
-    println!("  \"workload\": \"disjoint mmap+touch+munmap per core (Fig. 7)\",");
+    println!("  \"workload\": \"disjoint mmap+touch+munmap per core (Fig. 5 local)\",");
     print!("  \"cores\": [");
     print!(
         "{}",

@@ -1,7 +1,7 @@
-//! The Figure 7 scalability harness: disjoint mmap/munmap/pagefault
+//! The Figure 5 local scalability harness: disjoint mmap/munmap/pagefault
 //! throughput vs. simulated core count, for every backend.
 //!
-//! The paper's headline claim (§5, Figure 7) is that operations on
+//! The paper's headline claim (§5, Figure 5 local) is that operations on
 //! *disjoint* address-space ranges scale linearly with cores on RadixVM,
 //! while lock-based designs flatten. This module sweeps the `local`
 //! workload (per-core private mmap → touch → munmap cycles, the
@@ -172,7 +172,7 @@ pub const RADIX_REMOTE_PER_OP_CEIL: f64 = 0.5;
 ///    (flat incidental sharing: sharded counters, read-only attach
 ///    checks, batched magazines);
 /// 3. radix's retention strictly dominates both baselines' — the slope
-///    separation Figure 7 shows.
+///    separation Figure 5 local shows.
 pub fn check_gate(radix: &[ScalePoint], bonsai: &[ScalePoint], linux: &[ScalePoint]) -> GateReport {
     let max_cores = radix.last().map(|p| p.cores).unwrap_or(0);
     let radix_retention = retention(radix);

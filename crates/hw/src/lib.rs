@@ -498,8 +498,9 @@ pub struct MachineConfig {
     /// Frame-placement policy of the machine's pool (NUMA knob).
     pub placement: rvm_mem::PlacementPolicy,
     /// NUMA topology: node count, core striping, and hop distances. Must
-    /// match the topology installed in the simulator's [`CostModel`] for
-    /// the virtual-time pricing to line up with placement decisions.
+    /// match the topology installed in the simulator's
+    /// [`rvm_sync::CostModel`] for the virtual-time pricing to line up
+    /// with placement decisions.
     pub topology: rvm_sync::Topology,
 }
 

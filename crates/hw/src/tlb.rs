@@ -100,7 +100,7 @@ impl Tlb {
             })
     }
 
-    /// Looks up a translation, probing [`Tlb::probe_slots`] in order.
+    /// Looks up a translation, probing `Tlb::probe_slots` in order.
     #[inline]
     pub fn lookup(&self, asid: Asid, vpn: Vpn) -> Option<TlbEntry> {
         self.probe_slots(vpn)

@@ -27,7 +27,7 @@
 //!
 //! # The frame table as the ownership authority (DESIGN.md §8)
 //!
-//! Every frame's [`FrameSlot`] embeds a Refcache count cell
+//! Every frame's `FrameSlot` embeds a Refcache count cell
 //! ([`rvm_refcache::CountSlot`]), so the table — not a per-fault heap
 //! object — is where page reference counts live, exactly as in the
 //! paper's kernel. A VM system takes the first reference with

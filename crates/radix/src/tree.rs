@@ -55,7 +55,7 @@ use crate::node::{
     index_at_level, lock_interior_slot, lock_leaf_slot, pack_slot, slot_ptr, slot_tag,
     unlock_interior_slot, unlock_leaf_slot, Node, Slots, TreeStats, FANOUT, F_EXPANSIONS,
     F_FOLDED_VALUES, F_GUARD_SPILLS, F_HINT_HITS, F_HINT_MISSES, F_LEAF_VALUES, LEAF_PRESENT,
-    LEVELS, TAG_CHILD, TAG_EMPTY, TAG_FOLDED,
+    LEVELS, LEVEL_BITS, TAG_CHILD, TAG_EMPTY, TAG_FOLDED,
 };
 
 /// Virtual page number (36 bits used).
@@ -72,6 +72,10 @@ const UNITS_INLINE: usize = LEVELS + 2;
 /// Inline capacity of a guard's pin list: one pin per expanded level plus
 /// the leaf.
 const PINS_INLINE: usize = LEVELS;
+
+/// log2 of the pages in one range-lock region: the span of one level-1
+/// slot (1 GiB), which is also the largest superpage rung.
+const RANGE_REGION_SHIFT: u32 = (LEVEL_BITS * (LEVELS - 2)) as u32;
 
 /// Values storable in the tree.
 ///
@@ -233,11 +237,13 @@ pub struct RadixTree<V: RadixValue> {
     hints: Arc<HintTable<V>>,
     /// Flush-hook registration (0 when `leaf_hints` is off).
     hook_id: u64,
-    /// The list-based range lock fronting multi-page acquisitions
-    /// (consulted only when `cfg.range_lock` is [`RangeLockKind::List`]).
-    /// Overlapping range operations serialize on one descriptor here
-    /// instead of CAS-fighting slot by slot; the slot locks below remain
-    /// the mutual-exclusion authority (faults never enqueue).
+    /// The sharded list-based range lock fronting multi-page acquisitions
+    /// (consulted only when `cfg.range_lock` is [`RangeLockKind::List`]):
+    /// one shard per core, rounded up to a power of two, over
+    /// [`RANGE_REGION_SHIFT`] regions. Overlapping range operations
+    /// serialize on one descriptor here instead of CAS-fighting slot by
+    /// slot; the slot locks below remain the mutual-exclusion authority
+    /// (faults never enqueue).
     range_lock: RangeLock,
 }
 
@@ -261,6 +267,7 @@ impl<V: RadixValue> RadixTree<V> {
         } else {
             0
         };
+        let range_lock = RangeLock::new(cache.ncores().next_power_of_two(), RANGE_REGION_SHIFT);
         RadixTree {
             cache,
             root,
@@ -268,7 +275,7 @@ impl<V: RadixValue> RadixTree<V> {
             stats,
             hints,
             hook_id,
-            range_lock: RangeLock::new(),
+            range_lock,
         }
     }
 
@@ -417,11 +424,12 @@ impl<V: RadixValue> RadixTree<V> {
             }
         }
         // Multi-page acquisitions under the List substrate serialize on
-        // one descriptor before touching any slot, so overlapping range
-        // ops contend on a single line instead of CAS-fighting every
-        // slot in the intersection. Slot locks stay the mutual-exclusion
-        // authority (faults never enqueue here), so this is purely a
-        // contention front: descent below proceeds exactly as before.
+        // one descriptor per shard before touching any slot, so
+        // overlapping range ops contend on a single line instead of
+        // CAS-fighting every slot in the intersection. Slot locks stay
+        // the mutual-exclusion authority (faults never enqueue here), so
+        // this is purely a contention front: descent below proceeds
+        // exactly as before.
         if hi > lo + 1 && self.cfg.range_lock == RangeLockKind::List {
             guard.range_token = Some(self.range_lock.acquire(core, lo, hi));
         }
@@ -979,10 +987,9 @@ pub struct RangeGuard<'t, V: RadixValue> {
     core: usize,
     units: InlineVec<Unit<V>, UNITS_INLINE>,
     pins: InlineVec<RcPtr<Node<V>>, PINS_INLINE>,
-    /// Held list-lock descriptor when this is a multi-page acquisition
-    /// under [`RangeLockKind::List`]; released last on drop so the
-    /// descriptor's hold window covers the whole slot-locked critical
-    /// section.
+    /// Held list-lock descriptors when this is a multi-page acquisition
+    /// under [`RangeLockKind::List`]; released last on drop so their
+    /// hold window covers the whole slot-locked critical section.
     range_token: Option<RangeToken>,
 }
 

@@ -822,38 +822,41 @@ proptest! {
     /// is disjoint from every held range (mutual exclusion and no
     /// spurious failure), `holders()` must track the held set exactly
     /// (no leaked or lost descriptors), and draining every hold must
-    /// leave the list empty (release always unlinks — the no-deadlock /
+    /// leave the lists empty (release always unlinks — the no-deadlock /
     /// no-lost-wakeup half lives in the threaded stress tests, which
-    /// would hang or assert if a waiter missed a release).
+    /// would hang or assert if a waiter missed a release). It runs on a
+    /// single list and on a sharded lock with 8-unit regions, where most
+    /// generated ranges cross a region boundary and take several shards.
     #[test]
     fn range_lock_matches_interval_oracle(
         ops in proptest::collection::vec(
             (0u64..64, 1u64..9, any::<bool>(), 0usize..8), 1..200
         )
     ) {
-        let rl = RangeLock::new();
-        let mut held: Vec<(u64, u64, RangeToken)> = Vec::new();
-        for (lo, len, acquire, ridx) in ops {
-            if acquire {
-                let hi = lo + len;
-                let free = held.iter().all(|&(l, h, _)| hi <= l || h <= lo);
-                match rl.try_acquire(0, lo, hi) {
-                    Some(tok) => {
-                        prop_assert!(free, "acquired [{},{}) over a held range", lo, hi);
-                        held.push((lo, hi, tok));
+        for rl in [RangeLock::new(1, 18), RangeLock::new(4, 3)] {
+            let mut held: Vec<(u64, u64, RangeToken)> = Vec::new();
+            for &(lo, len, acquire, ridx) in &ops {
+                if acquire {
+                    let hi = lo + len;
+                    let free = held.iter().all(|&(l, h, _)| hi <= l || h <= lo);
+                    match rl.try_acquire(0, lo, hi) {
+                        Some(tok) => {
+                            prop_assert!(free, "acquired [{},{}) over a held range", lo, hi);
+                            held.push((lo, hi, tok));
+                        }
+                        None => prop_assert!(!free, "refused disjoint [{},{})", lo, hi),
                     }
-                    None => prop_assert!(!free, "refused disjoint [{},{})", lo, hi),
+                } else if !held.is_empty() {
+                    let (_, _, tok) = held.swap_remove(ridx % held.len());
+                    rl.release(0, tok);
                 }
-            } else if !held.is_empty() {
-                let (_, _, tok) = held.swap_remove(ridx % held.len());
+                prop_assert_eq!(rl.holders(), held.len());
+            }
+            for (_, _, tok) in held.drain(..) {
                 rl.release(0, tok);
             }
-            prop_assert_eq!(rl.holders(), held.len());
+            prop_assert_eq!(rl.holders(), 0);
         }
-        for (_, _, tok) in held.drain(..) {
-            rl.release(0, tok);
-        }
-        prop_assert_eq!(rl.holders(), 0);
     }
 
     /// Both range-lock substrates produce identical tree contents for
