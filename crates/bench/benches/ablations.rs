@@ -8,10 +8,11 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rvm_bench::figures::SharedPage;
 use rvm_bench::{build, BackendKind};
 use rvm_hw::{Backing, Machine, Prot, PAGE_SIZE};
 use rvm_radix::{LockMode, RadixConfig, RadixTree};
-use rvm_refcache::{Managed, Refcache, RefcacheConfig, ReleaseCtx};
+use rvm_refcache::{Refcache, RefcacheConfig};
 
 const BASE: u64 = 0x80_0000_0000;
 
@@ -45,12 +46,6 @@ fn collapse_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-struct Obj;
-
-impl Managed for Obj {
-    fn on_release(&mut self, _: &ReleaseCtx<'_>) {}
-}
-
 fn delta_cache_size(c: &mut Criterion) {
     let mut g = c.benchmark_group("refcache_cache_size");
     g.sample_size(15);
@@ -64,7 +59,7 @@ fn delta_cache_size(c: &mut Criterion) {
                 review_delay: 2,
             },
         );
-        let objs: Vec<_> = (0..1024).map(|_| rc.alloc(1, Obj)).collect();
+        let objs: Vec<_> = (0..1024).map(|_| rc.alloc(1, SharedPage)).collect();
         let mut i = 0usize;
         g.bench_function(format!("slots_{slots}"), |b| {
             b.iter(|| {

@@ -2,41 +2,23 @@
 //! path — repeated faults in one 512-page block, the pattern the leaf
 //! hint cache and inline guard storage optimize. Complements the
 //! virtual-time numbers in `rvm_bench::fastpath` (and the acceptance
-//! test there); run once by the CI bench-smoke step.
-
-use std::sync::Arc;
+//! test there), which defines both loops; run once by the CI bench-smoke
+//! step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rvm_bench::{build, BackendKind};
-use rvm_hw::{Backing, Machine, Prot, PAGE_SIZE};
-use rvm_radix::{LockMode, RadixConfig, RadixTree};
-use rvm_refcache::Refcache;
-
-const BASE: u64 = 0x70_0000_0000;
+use rvm_bench::fastpath::{fill_fault_vm, refault, same_block_fault, same_block_tree, BASE};
+use rvm_bench::BackendKind;
 
 /// Full-stack fill fault, same page block every time: TLB invalidate +
 /// access → pagefault → hinted single-page range lock → PTE/TLB refill.
 fn radixvm_same_block(c: &mut Criterion) {
     let mut g = c.benchmark_group("pagefault_hot");
     g.sample_size(20);
-    let machine = Machine::new(1);
-    let vm = build(&machine, BackendKind::Radix);
-    vm.attach_core(0);
-    vm.mmap(0, BASE, 8 * PAGE_SIZE, Prot::RW, Backing::Anon)
-        .unwrap();
-    for p in 0..8u64 {
-        machine
-            .touch_page(0, &*vm, BASE + p * PAGE_SIZE, 1)
-            .unwrap();
-    }
+    let (machine, vm) = fill_fault_vm(BackendKind::Radix, 8);
     let mut i = 0u64;
     g.bench_function("radixvm_fill_fault", |b| {
         b.iter(|| {
-            let vpn = (BASE >> 12) + (i % 8);
-            machine.invalidate_local(0, vm.asid(), vpn, 1);
-            machine
-                .read_u64(0, &*vm, BASE + (i % 8) * PAGE_SIZE)
-                .unwrap();
+            refault(&machine, &*vm, BASE, 8, i);
             i += 1;
         })
     });
@@ -49,25 +31,12 @@ fn tree_same_block(c: &mut Criterion) {
     let mut g = c.benchmark_group("pagefault_hot_tree");
     g.sample_size(20);
     for (name, hints) in [("leaf_hints", true), ("plain_descent", false)] {
-        let cache = Arc::new(Refcache::new(1));
-        let tree = RadixTree::<u64>::new(
-            cache,
-            RadixConfig {
-                collapse: true,
-                leaf_hints: hints,
-                ..RadixConfig::default()
-            },
-        );
-        let base = 512 * 11;
-        tree.lock_range(0, base, base + 512, LockMode::ExpandAll)
-            .replace(&1);
+        let tree = same_block_tree(hints);
         let mut i = 0u64;
         g.bench_function(name, |b| {
             b.iter(|| {
-                let vpn = base + (i % 8);
+                same_block_fault(&tree, i);
                 i += 1;
-                let mut guard = tree.lock_range(0, vpn, vpn + 1, LockMode::ExpandFolded);
-                *guard.page_value_mut().expect("mapped") += 1;
             })
         });
     }

@@ -4,17 +4,13 @@
 //! systems, reference-count operations across counting schemes, and index
 //! lookups across structures.
 
-use std::sync::Arc;
-
 use criterion::{criterion_group, criterion_main, Criterion};
-use rvm_baselines::SkipList;
+use rvm_bench::fastpath::{fill_fault_vm, refault, BASE};
+use rvm_bench::figures::{present_radix, present_skiplist, SharedPage};
 use rvm_bench::{build, BackendKind};
 use rvm_hw::{Backing, Machine, Prot, PAGE_SIZE};
-use rvm_radix::{LockMode, RadixConfig, RadixTree};
 use rvm_refcache::counters::{RefCounter, SharedCounter, Snzi};
-use rvm_refcache::{Managed, Refcache, ReleaseCtx};
-
-const BASE: u64 = 0x70_0000_0000;
+use rvm_refcache::Refcache;
 
 fn vm_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("vm_map_touch_unmap");
@@ -45,25 +41,13 @@ fn fault_only(c: &mut Criterion) {
     let mut g = c.benchmark_group("pagefault_fill");
     g.sample_size(20);
     for kind in [BackendKind::Radix, BackendKind::Bonsai, BackendKind::Linux] {
-        let machine = Machine::new(1);
-        let vm = build(&machine, kind);
-        vm.attach_core(0);
-        vm.mmap(0, BASE, 256 * PAGE_SIZE, Prot::RW, Backing::Anon)
-            .unwrap();
-        for p in 0..256u64 {
-            machine
-                .touch_page(0, &*vm, BASE + p * PAGE_SIZE, 1)
-                .unwrap();
-        }
+        let (machine, vm) = fill_fault_vm(kind, 256);
         let mut p = 0u64;
         g.bench_function(kind.name(), |b| {
             b.iter(|| {
-                // Invalidate the TLB entry so every access walks the
-                // fault path but hits an existing page (fill fault).
-                machine.invalidate_local(0, vm.asid(), (BASE >> 12) + p % 256, 1);
-                machine
-                    .read_u64(0, &*vm, BASE + (p % 256) * PAGE_SIZE)
-                    .unwrap();
+                // Every access walks the fault path but hits an existing
+                // page (fill fault).
+                refault(&machine, &*vm, BASE, 256, p);
                 p += 1;
             })
         });
@@ -71,18 +55,12 @@ fn fault_only(c: &mut Criterion) {
     g.finish();
 }
 
-struct Obj;
-
-impl Managed for Obj {
-    fn on_release(&mut self, _: &ReleaseCtx<'_>) {}
-}
-
 fn refcount_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("refcount_inc_dec");
     g.sample_size(20);
     {
         let rc = Refcache::new(1);
-        let obj = rc.alloc(1, Obj);
+        let obj = rc.alloc(1, SharedPage);
         let mut i = 0u64;
         g.bench_function("refcache", |b| {
             b.iter(|| {
@@ -123,12 +101,7 @@ fn index_lookup(c: &mut Criterion) {
     let mut g = c.benchmark_group("index_lookup_1000_regions");
     g.sample_size(20);
     {
-        let cache = Arc::new(Refcache::new(1));
-        let tree = RadixTree::<u64>::new(cache, RadixConfig::default());
-        for i in 0..1000u64 {
-            tree.lock_range(0, i * 2, i * 2 + 1, LockMode::ExpandAll)
-                .replace(&i);
-        }
+        let tree = present_radix(1);
         let mut k = 0u64;
         g.bench_function("radix_tree", |b| {
             b.iter(|| {
@@ -138,10 +111,7 @@ fn index_lookup(c: &mut Criterion) {
         });
     }
     {
-        let list = SkipList::new();
-        for i in 0..1000u64 {
-            list.insert(i * 2);
-        }
+        let list = present_skiplist();
         let mut k = 0u64;
         g.bench_function("skip_list", |b| {
             b.iter(|| {

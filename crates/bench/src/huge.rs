@@ -16,13 +16,16 @@
 //! expands 512 leaf copies), page-table bytes, and virtual time.
 //! [`check_gate`] turns the hinted/unhinted pair into the acceptance bar
 //! recorded in `BENCH_huge.json`: ≥ [`HUGE_FAULT_RATIO_FLOOR`]× fewer
-//! faults and strictly smaller index bytes, enforced by `bench_huge` in
-//! CI alongside the fastpath and scale gates.
+//! faults and strictly smaller index bytes, enforced by the `huge`
+//! scenario ([`record`]) in CI alongside the fastpath and scale gates.
 
-use rvm_hw::{Backing, Machine, MapFlags, Prot, BLOCK_PAGES, PAGE_SIZE};
-use rvm_sync::{sim, CostModel};
+use std::sync::Arc;
 
-use crate::{build, BackendKind};
+use rvm_hw::{Backing, Machine, MapFlags, OpStats, Prot, VmSystem, BLOCK_PAGES, PAGE_SIZE};
+use rvm_sync::sim::{self, SimGuard};
+use rvm_sync::CostModel;
+
+use crate::{build, ratio, BackendKind, Gate, Inputs, Json, Record};
 
 /// Virtual-address base of the huge workload (2 MiB aligned, clear of
 /// the other workloads' regions).
@@ -34,8 +37,6 @@ pub const BLOCK_BYTES: u64 = BLOCK_PAGES * PAGE_SIZE;
 /// One measured populate run.
 #[derive(Clone, Debug)]
 pub struct HugePoint {
-    /// Backend measured.
-    pub backend: BackendKind,
     /// Whether the mapping carried the huge-page hint.
     pub hinted: bool,
     /// 2 MiB blocks mapped and touched.
@@ -64,53 +65,82 @@ impl HugePoint {
 
     /// Pages populated per virtual second.
     pub fn pages_per_sec(&self) -> f64 {
-        if self.virt_ns == 0 {
-            0.0
-        } else {
-            self.pages() as f64 * 1e9 / self.virt_ns as f64
-        }
+        ratio(self.pages() as f64 * 1e9, self.virt_ns as f64)
     }
+
+    /// The point as a record row.
+    fn json(&self) -> Json {
+        Json::obj()
+            .with("mode", if self.hinted { "huge" } else { "4k" })
+            .with("faults", self.faults)
+            .with("superpage_installs", self.superpage_installs)
+            .with("superpage_demotions", self.superpage_demotions)
+            .with("superpage_promotions", self.superpage_promotions)
+            .with("index_bytes", self.index_bytes)
+            .with("pagetable_bytes", self.pagetable_bytes)
+            .with("pages_per_sec", Json::fixed(self.pages_per_sec(), 0))
+    }
+}
+
+/// Touches every page of the `blocks`-block region at [`HUGE_BASE`] from
+/// `core`, writing `value`; returns the page faults that took and the
+/// counters after it.
+fn touch_region(
+    machine: &Machine,
+    vm: &dyn VmSystem,
+    core: usize,
+    blocks: u64,
+    value: u8,
+) -> (u64, OpStats) {
+    let faults = |st: OpStats| st.faults_alloc + st.faults_fill + st.faults_cow;
+    let before = faults(vm.op_stats());
+    for page in 0..blocks * BLOCK_PAGES {
+        machine
+            .touch_page(core, vm, HUGE_BASE + page * PAGE_SIZE, value)
+            .expect("every page of the region is mapped");
+    }
+    let st = vm.op_stats();
+    (faults(st) - before, st)
+}
+
+/// Installs the simulator for `ncores` cores, driving from core 0, then
+/// builds `kind` on a fresh machine with every core attached and maps
+/// `blocks` aligned 2 MiB blocks at [`HUGE_BASE`] with `flags`.
+fn huge_region(
+    ncores: usize,
+    kind: BackendKind,
+    blocks: u64,
+    flags: MapFlags,
+) -> (SimGuard, Arc<Machine>, Arc<dyn VmSystem>) {
+    let guard = sim::install(ncores, CostModel::default());
+    sim::switch(0);
+    let machine = Machine::new(ncores);
+    let vm = build(&machine, kind);
+    for c in 0..ncores {
+        vm.attach_core(c);
+    }
+    let bytes = blocks * BLOCK_BYTES;
+    vm.mmap_flags(0, HUGE_BASE, bytes, Prot::RW, Backing::Anon, flags)
+        .expect("mapping the huge region");
+    (guard, machine, vm)
 }
 
 /// Maps `blocks` aligned 2 MiB blocks (hinted or not) and touches every
 /// page, on one simulated core. Deterministic: same inputs, same point.
 pub fn populate_point(kind: BackendKind, hinted: bool, blocks: u64) -> HugePoint {
-    let guard = sim::install(1, CostModel::default());
-    sim::switch(0);
-    let machine = Machine::new(1);
-    let vm = build(&machine, kind);
-    vm.attach_core(0);
     let flags = if hinted {
         MapFlags::HUGE
     } else {
         MapFlags::NONE
     };
-    vm.mmap_flags(
-        0,
-        HUGE_BASE,
-        blocks * BLOCK_BYTES,
-        Prot::RW,
-        Backing::Anon,
-        flags,
-    )
-    .expect("mmap");
-    let faults_before = {
-        let st = vm.op_stats();
-        st.faults_alloc + st.faults_fill + st.faults_cow
-    };
-    for page in 0..blocks * BLOCK_PAGES {
-        machine
-            .touch_page(0, &*vm, HUGE_BASE + page * PAGE_SIZE, 1)
-            .expect("touch");
-    }
-    let st = vm.op_stats();
+    let (guard, machine, vm) = huge_region(1, kind, blocks, flags);
+    let (faults, st) = touch_region(&machine, &*vm, 0, blocks, 1);
     let usage = vm.space_usage();
     let stats = guard.finish();
     HugePoint {
-        backend: kind,
         hinted,
         blocks,
-        faults: st.faults_alloc + st.faults_fill + st.faults_cow - faults_before,
+        faults,
         superpage_installs: st.superpage_installs,
         superpage_demotions: st.superpage_demotions,
         superpage_promotions: st.superpage_promotions,
@@ -120,95 +150,50 @@ pub fn populate_point(kind: BackendKind, hinted: bool, blocks: u64) -> HugePoint
     }
 }
 
-/// The huge-mapping gate's verdict.
-#[derive(Clone, Debug)]
-pub struct HugeGateReport {
-    /// Blocks per run.
-    pub blocks: u64,
-    /// Unhinted (4 KiB) faults to populate.
-    pub faults_4k: u64,
-    /// Hinted (superpage) faults to populate.
-    pub faults_huge: u64,
-    /// `faults_4k / faults_huge`.
-    pub fault_ratio: f64,
-    /// Unhinted index bytes.
-    pub index_bytes_4k: u64,
-    /// Hinted index bytes.
-    pub index_bytes_huge: u64,
-    /// Superpage installs observed on the hinted run.
-    pub superpage_installs: u64,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl HugeGateReport {
-    /// True when every gate condition held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
 /// Populating a hinted aligned region must take at least this many times
 /// fewer faults than the 4 KiB path (acceptance bar; the actual ratio is
 /// the full 512 when every block folds).
 pub const HUGE_FAULT_RATIO_FLOOR: f64 = 8.0;
 
-/// Evaluates the huge-mapping gate from a hinted/unhinted pair.
+/// Evaluates the huge-mapping gate from a hinted/unhinted pair; returns
+/// the record's `gate` section and the verdict.
 ///
 /// Conditions:
 /// 1. faults(4 KiB) / faults(huge) ≥ [`HUGE_FAULT_RATIO_FLOOR`];
 /// 2. hinted `index_bytes` strictly smaller than unhinted (the fold
 ///    survives population instead of expanding into 512 leaf copies);
 /// 3. the hinted run actually installed superpages.
-pub fn check_gate(huge: &HugePoint, four_k: &HugePoint) -> HugeGateReport {
+pub fn check_gate(huge: &HugePoint, four_k: &HugePoint) -> (Json, Gate) {
     let fault_ratio = if huge.faults == 0 {
         f64::INFINITY
     } else {
         four_k.faults as f64 / huge.faults as f64
     };
-    let mut failures = Vec::new();
-    if fault_ratio < HUGE_FAULT_RATIO_FLOOR {
-        failures.push(format!(
+    let mut gate = Gate::new("huge-mapping");
+    gate.fail_if(fault_ratio < HUGE_FAULT_RATIO_FLOOR, || {
+        format!(
             "fault ratio {fault_ratio:.1} ({} vs {}) < floor {HUGE_FAULT_RATIO_FLOOR}",
             four_k.faults, huge.faults
-        ));
-    }
-    if huge.index_bytes >= four_k.index_bytes {
-        failures.push(format!(
+        )
+    });
+    gate.fail_if(huge.index_bytes >= four_k.index_bytes, || {
+        format!(
             "hinted index bytes {} not strictly smaller than 4 KiB {}",
             huge.index_bytes, four_k.index_bytes
-        ));
-    }
-    if huge.superpage_installs == 0 {
-        failures.push("hinted run installed no superpages".into());
-    }
-    HugeGateReport {
-        blocks: huge.blocks,
-        faults_4k: four_k.faults,
-        faults_huge: huge.faults,
-        fault_ratio,
-        index_bytes_4k: four_k.index_bytes,
-        index_bytes_huge: huge.index_bytes,
-        superpage_installs: huge.superpage_installs,
-        failures,
-    }
-}
-
-/// Blocks per run: trimmed for `--quick` CI smoke runs.
-pub fn huge_blocks() -> u64 {
-    if crate::quick() {
-        2
-    } else {
-        8
-    }
-}
-
-/// Runs the gated backend (full RadixVM) hinted and unhinted and
-/// evaluates the gate (entry point for the unit test and `bench_huge`).
-pub fn run_gate(blocks: u64) -> HugeGateReport {
-    let huge = populate_point(BackendKind::Radix, true, blocks);
-    let four_k = populate_point(BackendKind::Radix, false, blocks);
-    check_gate(&huge, &four_k)
+        )
+    });
+    gate.fail_if(huge.superpage_installs == 0, || {
+        "hinted run installed no superpages".into()
+    });
+    let section = Json::obj()
+        .with("fault_ratio_floor", HUGE_FAULT_RATIO_FLOOR)
+        .with("fault_ratio", Json::fixed(fault_ratio, 1))
+        .with("faults_huge", huge.faults)
+        .with("faults_4k", four_k.faults)
+        .with("index_bytes_huge", huge.index_bytes)
+        .with("index_bytes_4k", four_k.index_bytes)
+        .with("superpage_installs", huge.superpage_installs);
+    (gate.stamp(section), gate)
 }
 
 // --- Demote-then-converge: the promotion gate (DESIGN.md §12) ---
@@ -217,12 +202,9 @@ pub fn run_gate(blocks: u64) -> HugeGateReport {
 /// more than one that never demoted, in probe faults and index bytes.
 pub const CONVERGE_RATIO_CEIL: f64 = 1.25;
 
-/// The demote-then-converge verdict: does opportunistic promotion
-/// actually recover folded-state faults and index size?
+/// One populate-(demote-converge)-probe run.
 #[derive(Clone, Debug)]
-pub struct ConvergeReport {
-    /// 2 MiB blocks in the run.
-    pub blocks: u64,
+pub struct ConvergeRun {
     /// Demotions taken by the mprotect round-trips (one per block).
     pub demotions: u64,
     /// Promotions the fault path's fill counters triggered.
@@ -233,47 +215,16 @@ pub struct ConvergeReport {
     /// Fresh-core probe faults after convergence (1 per block when the
     /// fold is back; 512 per block if promotion failed).
     pub probe_faults: u64,
-    /// Fresh-core probe faults on the never-demoted baseline.
-    pub probe_faults_baseline: u64,
     /// Index bytes after convergence (severed leaves drained).
     pub index_bytes: u64,
-    /// Index bytes of the never-demoted baseline.
-    pub index_bytes_baseline: u64,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl ConvergeReport {
-    /// True when every gate condition held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
 }
 
 /// One populate-(demote-converge)-probe run on full RadixVM: two
-/// simulated cores, core 0 drives, core 1 probes at the end. Returns
-/// (probe faults, index bytes, promotions, demotions, converge faults).
-fn converge_run(demote: bool, blocks: u64) -> (u64, u64, u64, u64, u64) {
-    let _guard = sim::install(2, CostModel::default());
-    sim::switch(0);
-    let machine = Machine::new(2);
-    let vm = build(&machine, BackendKind::Radix);
-    vm.attach_core(0);
-    vm.attach_core(1);
-    vm.mmap_flags(
-        0,
-        HUGE_BASE,
-        blocks * BLOCK_BYTES,
-        Prot::RW,
-        Backing::Anon,
-        MapFlags::HUGE,
-    )
-    .expect("mmap");
-    for page in 0..blocks * BLOCK_PAGES {
-        machine
-            .touch_page(0, &*vm, HUGE_BASE + page * PAGE_SIZE, 1)
-            .expect("populate");
-    }
+/// simulated cores, core 0 drives, core 1 probes at the end. Without
+/// `demote` it is the never-demoted baseline.
+pub fn converge_run(demote: bool, blocks: u64) -> ConvergeRun {
+    let (_guard, machine, vm) = huge_region(2, BackendKind::Radix, blocks, MapFlags::HUGE);
+    touch_region(&machine, &*vm, 0, blocks, 1);
     let mut converge_faults = 0;
     if demote {
         // Demote every block with a sub-block protection round-trip
@@ -287,82 +238,69 @@ fn converge_run(demote: bool, blocks: u64) -> (u64, u64, u64, u64, u64) {
             vm.mprotect(0, base, 8 * PAGE_SIZE, Prot::RW)
                 .expect("restore");
         }
-        let faults0 = {
-            let st = vm.op_stats();
-            st.faults_alloc + st.faults_fill + st.faults_cow
-        };
-        for page in 0..blocks * BLOCK_PAGES {
-            machine
-                .touch_page(0, &*vm, HUGE_BASE + page * PAGE_SIZE, 2)
-                .expect("converge");
-        }
-        let st = vm.op_stats();
-        converge_faults = st.faults_alloc + st.faults_fill + st.faults_cow - faults0;
+        converge_faults = touch_region(&machine, &*vm, 0, blocks, 2).0;
     }
     // Drain deferred reclamation (severed leaves, surrendered refs) so
     // the index measurement reflects the converged steady state.
     vm.quiesce();
     let index_bytes = vm.space_usage().index_bytes;
-    let faults0 = {
-        let st = vm.op_stats();
-        st.faults_alloc + st.faults_fill + st.faults_cow
-    };
-    for page in 0..blocks * BLOCK_PAGES {
-        machine
-            .touch_page(1, &*vm, HUGE_BASE + page * PAGE_SIZE, 3)
-            .expect("probe");
-    }
-    let st = vm.op_stats();
-    let probe_faults = st.faults_alloc + st.faults_fill + st.faults_cow - faults0;
-    (
+    let (probe_faults, st) = touch_region(&machine, &*vm, 1, blocks, 3);
+    ConvergeRun {
+        demotions: st.superpage_demotions,
+        promotions: st.superpage_promotions,
+        converge_faults,
         probe_faults,
         index_bytes,
-        st.superpage_promotions,
-        st.superpage_demotions,
-        converge_faults,
-    )
+    }
 }
 
-/// Runs the demote-then-converge workload against a never-demoted
-/// baseline and evaluates the promotion gate:
+/// Evaluates the promotion gate on a demote-then-converge `run` of
+/// `blocks` blocks against the never-demoted `base`; returns the
+/// record's `converge` section and the verdict:
 ///
 /// 1. the fill counters actually promoted (one per demoted block);
 /// 2. a fresh core's probe faults are within [`CONVERGE_RATIO_CEIL`] of
 ///    the never-demoted run (the span fault path is back);
 /// 3. index bytes are within [`CONVERGE_RATIO_CEIL`] of the
 ///    never-demoted run (the 512 leaf copies re-folded and freed).
-pub fn run_converge_gate(blocks: u64) -> ConvergeReport {
-    let (probe_b, index_b, _, _, _) = converge_run(false, blocks);
-    let (probe, index, promotions, demotions, converge_faults) = converge_run(true, blocks);
-    let mut failures = Vec::new();
-    if promotions < blocks {
-        failures.push(format!(
-            "only {promotions}/{blocks} demoted blocks promoted back"
-        ));
-    }
-    if (probe as f64) > probe_b as f64 * CONVERGE_RATIO_CEIL {
-        failures.push(format!(
-            "post-promotion probe faults {probe} exceed {CONVERGE_RATIO_CEIL}x \
+pub fn check_converge(base: &ConvergeRun, run: &ConvergeRun, blocks: u64) -> (Json, Gate) {
+    let (probe, probe_b) = (run.probe_faults, base.probe_faults);
+    let (index, index_b) = (run.index_bytes, base.index_bytes);
+    let mut gate = Gate::new("promotion");
+    gate.fail_if(run.promotions < blocks, || {
+        format!(
+            "only {}/{blocks} demoted blocks promoted back",
+            run.promotions
+        )
+    });
+    gate.fail_if(
+        (probe as f64) > probe_b as f64 * CONVERGE_RATIO_CEIL,
+        || {
+            format!(
+                "post-promotion probe faults {probe} exceed {CONVERGE_RATIO_CEIL}x \
              never-demoted {probe_b}"
-        ));
-    }
-    if (index as f64) > index_b as f64 * CONVERGE_RATIO_CEIL {
-        failures.push(format!(
-            "post-promotion index bytes {index} exceed {CONVERGE_RATIO_CEIL}x \
+            )
+        },
+    );
+    gate.fail_if(
+        (index as f64) > index_b as f64 * CONVERGE_RATIO_CEIL,
+        || {
+            format!(
+                "post-promotion index bytes {index} exceed {CONVERGE_RATIO_CEIL}x \
              never-demoted {index_b}"
-        ));
-    }
-    ConvergeReport {
-        blocks,
-        demotions,
-        promotions,
-        converge_faults,
-        probe_faults: probe,
-        probe_faults_baseline: probe_b,
-        index_bytes: index,
-        index_bytes_baseline: index_b,
-        failures,
-    }
+            )
+        },
+    );
+    let section = Json::obj()
+        .with("ratio_ceil", CONVERGE_RATIO_CEIL)
+        .with("demotions", run.demotions)
+        .with("promotions", run.promotions)
+        .with("converge_faults", run.converge_faults)
+        .with("probe_faults", probe)
+        .with("probe_faults_baseline", probe_b)
+        .with("index_bytes", index)
+        .with("index_bytes_baseline", index_b);
+    (gate.stamp(section), gate)
 }
 
 // --- The 16-core span-shootdown sweep ---
@@ -400,22 +338,7 @@ pub struct ShootdownPoint {
 pub fn shootdown_sweep() -> Vec<ShootdownPoint> {
     let mut points = Vec::new();
     for sharers in [1usize, 2, 4, 8, SWEEP_CORES] {
-        let guard = sim::install(SWEEP_CORES, CostModel::default());
-        sim::switch(0);
-        let machine = Machine::new(SWEEP_CORES);
-        let vm = build(&machine, BackendKind::Radix);
-        for c in 0..SWEEP_CORES {
-            vm.attach_core(c);
-        }
-        vm.mmap_flags(
-            0,
-            HUGE_BASE,
-            BLOCK_BYTES,
-            Prot::RW,
-            Backing::Anon,
-            MapFlags::HUGE,
-        )
-        .expect("mmap");
+        let (guard, machine, vm) = huge_region(SWEEP_CORES, BackendKind::Radix, 1, MapFlags::HUGE);
         // Private disjoint regions for the background cores.
         const BG_PAGES: u64 = 64;
         let bg_base = |c: usize| HUGE_BASE + (1 + c as u64) * (1 << 30);
@@ -486,21 +409,96 @@ pub fn shootdown_sweep() -> Vec<ShootdownPoint> {
 
 /// Sanity conditions for the sweep (CI smoke): every point promoted,
 /// and with remote sharers the span protocol beat per-page pricing.
-pub fn check_sweep(points: &[ShootdownPoint]) -> Vec<String> {
-    let mut failures = Vec::new();
+pub fn check_sweep(points: &[ShootdownPoint]) -> Gate {
+    let mut gate = Gate::new("span-shootdown sweep");
     for p in points {
-        if p.promotions == 0 {
-            failures.push(format!("{} sharers: no promotion", p.sharers));
-        }
-        if p.sharers > 1 && p.span_ipis >= p.per_page_ipis {
-            failures.push(format!(
+        gate.fail_if(p.promotions == 0, || {
+            format!("{} sharers: no promotion", p.sharers)
+        });
+        gate.fail_if(p.sharers > 1 && p.span_ipis >= p.per_page_ipis, || {
+            format!(
                 "{} sharers: span shootdown sent {} IPIs, not fewer than \
                  per-page {}",
                 p.sharers, p.span_ipis, p.per_page_ipis
-            ));
+            )
+        });
+    }
+    gate
+}
+
+/// The `huge` record, in three sections:
+///
+/// * `backends` — every backend populates an aligned multi-block
+///   anonymous mapping with and without the `MapFlags::HUGE` hint
+///   (hint-ignoring backends behave identically either way, so they get
+///   a single 4 KiB row), gated by [`check_gate`] on RadixVM;
+/// * `converge` — the demote-then-converge promotion gate
+///   ([`check_converge`]);
+/// * `shootdown_sweep` — the 16-core span-shootdown sweep
+///   ([`check_sweep`]).
+///
+/// Blocks per run: 8, or 2 under `--quick`.
+pub fn record(inp: &Inputs) -> Record {
+    let blocks = inp.pick(2, 8);
+    let mut backends = Json::obj();
+    let mut radix = None;
+    for kind in BackendKind::ALL {
+        let modes: &[bool] = if kind.hint_aware() {
+            &[true, false]
+        } else {
+            &[false]
+        };
+        let points: Vec<HugePoint> = modes
+            .iter()
+            .map(|&hinted| populate_point(kind, hinted, blocks))
+            .collect();
+        let rows: Vec<Json> = points.iter().map(HugePoint::json).collect();
+        rows.iter()
+            .for_each(|row| eprint!("  {kind}: {}", row.pretty()));
+        backends = backends.with(kind.name(), rows);
+        if kind == BackendKind::Radix {
+            radix = Some(check_gate(&points[0], &points[1]));
         }
     }
-    failures
+    let (gate_section, gate) = radix.expect("RadixVM was populated");
+
+    eprintln!("demote-then-converge on RadixVM ({blocks} blocks)...");
+    let base = converge_run(false, blocks);
+    let run = converge_run(true, blocks);
+    let (converge_section, converge_gate) = check_converge(&base, &run, blocks);
+    eprintln!("span-shootdown sweep ({SWEEP_CORES} cores)...");
+    let sweep = shootdown_sweep();
+    let sweep_rows: Vec<Json> = sweep
+        .iter()
+        .map(|p| {
+            Json::obj()
+                .with("sharers", p.sharers)
+                .with("span_ipis", p.span_ipis)
+                .with("per_page_ipis", p.per_page_ipis)
+                .with("promotions", p.promotions)
+                .with("bg_faults", p.bg_faults)
+                .with("virt_ns", p.virt_ns)
+        })
+        .collect();
+    let json = Json::obj()
+        .with("schema", 2u64)
+        .with("bench", "huge")
+        .with(
+            "workload",
+            format!(
+                "populate {blocks} aligned 2 MiB anonymous blocks, huge hint vs 4 KiB; \
+                 demote-then-converge promotion gate; 16-core span-shootdown sweep"
+            ),
+        )
+        .with("blocks", blocks)
+        .with("backends", backends)
+        .with("converge", converge_section)
+        .with("shootdown_sweep", sweep_rows)
+        .with("gate", gate_section);
+    Record {
+        json,
+        gates: vec![gate, converge_gate, check_sweep(&sweep)],
+    }
 }
 
 #[cfg(test)]
@@ -512,15 +510,32 @@ mod tests {
     /// strictly less index memory than 4 KiB mappings. Deterministic.
     #[test]
     fn huge_mapping_gate() {
-        let report = run_gate(2);
+        let huge = populate_point(BackendKind::Radix, true, 2);
+        let four_k = populate_point(BackendKind::Radix, false, 2);
+        let (_, gate) = check_gate(&huge, &four_k);
         assert!(
-            report.passed(),
+            gate.passed(),
             "huge-mapping gate failed:\n  {}",
-            report.failures.join("\n  ")
+            gate.failures.join("\n  ")
         );
         // The ratio is not marginal: one fault per block.
-        assert_eq!(report.faults_huge, report.blocks);
-        assert_eq!(report.faults_4k, report.blocks * BLOCK_PAGES);
+        assert_eq!(huge.faults, huge.blocks);
+        assert_eq!(four_k.faults, huge.blocks * BLOCK_PAGES);
+    }
+
+    /// A hinted run that took no faults makes the fault ratio infinite;
+    /// the record must still parse, so the ratio renders as `null` and
+    /// the gate names the missing superpages.
+    #[test]
+    fn gate_section_renders_an_infinite_ratio_as_null() {
+        let mut huge = populate_point(BackendKind::Radix, true, 1);
+        huge.faults = 0;
+        huge.superpage_installs = 0;
+        let four_k = populate_point(BackendKind::Radix, false, 1);
+        let (section, gate) = check_gate(&huge, &four_k);
+        assert!(section.pretty().contains("\"fault_ratio\": null"));
+        assert!(section.pretty().contains("\"passed\": false"));
+        assert_eq!(gate.failures, ["hinted run installed no superpages"]);
     }
 
     #[test]
@@ -536,7 +551,7 @@ mod tests {
 
     #[test]
     fn hint_ignoring_backends_match_their_4k_run() {
-        // The dedup in `bench_huge` is sound: a hint-ignoring backend
+        // The dedup in the `huge` record is sound: a hint-ignoring backend
         // produces identical points hinted and unhinted.
         for kind in BackendKind::ALL {
             if kind.hint_aware() {
@@ -555,24 +570,26 @@ mod tests {
     /// fresh core pays span-fault prices again. Deterministic.
     #[test]
     fn promotion_gate() {
-        let report = run_converge_gate(2);
+        let base = converge_run(false, 2);
+        let run = converge_run(true, 2);
+        let (_, gate) = check_converge(&base, &run, 2);
         assert!(
-            report.passed(),
+            gate.passed(),
             "promotion gate failed:\n  {}",
-            report.failures.join("\n  ")
+            gate.failures.join("\n  ")
         );
-        assert_eq!(report.demotions, report.blocks);
-        assert_eq!(report.promotions, report.blocks);
+        assert_eq!(run.demotions, 2);
+        assert_eq!(run.promotions, 2);
         // The probe is not marginal: one fault per block on both sides.
-        assert_eq!(report.probe_faults, report.probe_faults_baseline);
+        assert_eq!(run.probe_faults, base.probe_faults);
     }
 
     #[test]
     fn shootdown_sweep_spans_beat_per_page() {
         let points = shootdown_sweep();
         assert_eq!(points.len(), 5);
-        let failures = check_sweep(&points);
-        assert!(failures.is_empty(), "{}", failures.join("\n"));
+        let gate = check_sweep(&points);
+        assert!(gate.passed(), "{}", gate.failures.join("\n"));
         // Background cores never stall: every disjoint fault completed.
         for p in &points {
             assert_eq!(

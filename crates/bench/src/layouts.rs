@@ -12,6 +12,8 @@ use std::sync::Arc;
 
 use rvm_hw::{Backing, Machine, Prot, VmSystem, PAGE_SIZE};
 
+use crate::workloads::splitmix;
+
 /// One application profile from Table 2.
 #[derive(Clone, Copy, Debug)]
 pub struct AppProfile {
@@ -48,13 +50,6 @@ pub fn table2_apps() -> Vec<AppProfile> {
             rss_mb: 84,
         },
     ]
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A generated region: base address and page count, with the fraction of

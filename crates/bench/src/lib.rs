@@ -7,9 +7,14 @@
 //! clocks through a MESI-style cost model, and throughput is computed
 //! from virtual time. See DESIGN.md §1 for the fidelity argument.
 //!
-//! Binaries (one per experiment):
+//! One binary runs every experiment:
+//! `cargo run --release -p rvm_bench -- <scenario> [--quick]`. Figure and
+//! table scenarios print CSV tables to stdout; record scenarios print a
+//! JSON record (checked in as `BENCH_<scenario>.json`) and exit 1 when a
+//! gate fails. Progress goes to stderr. Inputs: `--quick`, `RVM_CORES`,
+//! `RVM_DUR_MS` and `RVM_METIS_WORDS` (see [`Inputs`]); bad input exits 2.
 //!
-//! | binary | reproduces |
+//! | scenario | reproduces / records |
 //! |---|---|
 //! | `fig4_metis` | Figure 4 — Metis jobs/hour vs cores |
 //! | `fig5_micro` | Figure 5 — local/pipeline/global microbenchmarks |
@@ -19,17 +24,27 @@
 //! | `fig9_tlb` | Figure 9 — per-core vs shared page tables |
 //! | `table1_loc` | Table 1 — component sizes |
 //! | `table2_memory` | Table 2 — address-space metadata memory |
+//! | `fastpath` | [`fastpath`] — fault fast path with and without leaf hints |
+//! | `scale` | [`scale`] — disjoint, contended and overlapping ops vs cores |
+//! | `huge` | [`huge`] — superpage populate, promotion and span shootdown |
+//! | `refcount` | [`refcount`] — allocation-free frame ownership |
+//! | `numa` | [`numa`] — placement policies across NUMA topologies |
+//! | `pressure` | [`pressure`] — throughput near the frame limit |
 
-use rvm_sync::{sim, CostModel, SimStats};
+use rvm_sync::{sim, CostModel, SimStats, MAX_CORES};
 
 pub mod fastpath;
+pub mod figures;
 pub mod huge;
+pub mod json;
 pub mod layouts;
 pub mod numa;
 pub mod pressure;
 pub mod refcount;
 pub mod scale;
 pub mod workloads;
+
+pub use json::Json;
 
 // The VM systems under test live behind the backend layer; the harness
 // re-exports it so bench code and downstream users construct every VM
@@ -39,8 +54,6 @@ pub use rvm_backend::{build, BackendKind, BackendMeta, ShootdownPolicy};
 /// One measured point of a scalability sweep.
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
-    /// Virtual cores used.
-    pub cores: usize,
     /// Work units completed (workload-defined).
     pub units: u64,
     /// Virtual nanoseconds elapsed (max core clock).
@@ -52,11 +65,17 @@ pub struct SweepPoint {
 impl SweepPoint {
     /// Units per virtual second.
     pub fn per_sec(&self) -> f64 {
-        if self.virt_ns == 0 {
-            0.0
-        } else {
-            self.units as f64 * 1e9 / self.virt_ns as f64
-        }
+        ratio(self.units as f64 * 1e9, self.virt_ns as f64)
+    }
+}
+
+/// `num / den`, or 0 when `den` is not positive: the rate or share of an
+/// empty run.
+pub fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
     }
 }
 
@@ -87,12 +106,29 @@ pub fn run_sim_collect<T>(
 ) -> (SweepPoint, T) {
     let guard = sim::install(ncores, model);
     let mut ops: Vec<Box<dyn FnMut() -> u64>> = (0..ncores).map(&mut make).collect();
+    let units = drive(&mut ops, duration_ns);
+    drop(ops);
+    let collected = collect();
+    let stats = guard.finish();
+    (
+        SweepPoint {
+            units,
+            virt_ns: stats.max_clock(),
+            sim: stats,
+        },
+        collected,
+    )
+}
+
+/// Runs core `c`'s op `ops[c]` on the installed simulator, always the
+/// core with the lowest clock next (conservative interleaving), until
+/// every clock passes `duration_ns`; returns the work units completed.
+pub fn drive(ops: &mut [Box<dyn FnMut() -> u64>], duration_ns: u64) -> u64 {
     let mut units = 0u64;
     loop {
-        // Conservative lowest-clock-first interleaving.
         let core = sim::min_clock_core();
         if sim::clock(core) >= duration_ns {
-            break; // every clock has passed the horizon
+            return units;
         }
         sim::switch(core);
         let before = sim::clock(core);
@@ -102,40 +138,6 @@ pub fn run_sim_collect<T>(
             sim::charge(50);
         }
     }
-    drop(ops);
-    let collected = collect();
-    let stats = guard.finish();
-    (
-        SweepPoint {
-            cores: ncores,
-            units,
-            virt_ns: stats.max_clock(),
-            sim: stats,
-        },
-        collected,
-    )
-}
-
-/// Default core counts for sweeps (the paper's x-axis, whole chips of 10
-/// cores at a time plus single core, §5.1).
-pub fn core_counts() -> Vec<usize> {
-    if let Ok(s) = std::env::var("RVM_CORES") {
-        return s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-    }
-    if quick() {
-        vec![1, 4, 16, 48, 80]
-    } else {
-        vec![1, 10, 20, 30, 40, 50, 60, 70, 80]
-    }
-}
-
-/// Virtual duration per measured point (base value at ≤10 cores).
-pub fn duration_ns() -> u64 {
-    std::env::var("RVM_DUR_MS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(if quick() { 8 } else { 25 })
-        * 1_000_000
 }
 
 /// Scales the virtual duration down at high core counts so the real cost
@@ -146,19 +148,141 @@ pub fn point_duration(base_ns: u64, ncores: usize) -> u64 {
     base_ns * 10 / ncores.max(10) as u64
 }
 
-/// True when `--quick` (or RVM_QUICK=1) trims the sweep for CI runs.
-pub fn quick() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var("RVM_QUICK").is_dead_simple()
+/// The run's inputs: `--quick` and the `RVM_*` environment, read and
+/// checked once by the driver and passed to every scenario.
+#[derive(Clone, Debug, Default)]
+pub struct Inputs {
+    /// `--quick`: trimmed sweeps for CI smoke runs.
+    pub quick: bool,
+    /// `RVM_CORES`: core counts replacing a sweep's default list.
+    pub cores: Option<Vec<usize>>,
+    /// `RVM_DUR_MS`: virtual milliseconds per measured point (the base
+    /// value at ≤ 10 cores, see [`point_duration`]).
+    pub dur_ms: Option<u64>,
+    /// `RVM_METIS_WORDS`: words per Metis job.
+    pub metis_words: Option<u64>,
 }
 
-trait EnvBool {
-    fn is_dead_simple(&self) -> bool;
-}
-
-impl EnvBool for Result<String, std::env::VarError> {
-    fn is_dead_simple(&self) -> bool {
-        matches!(self.as_deref(), Ok("1") | Ok("true"))
+impl Inputs {
+    /// Reads the `RVM_*` variables; the error names the variable and its
+    /// value.
+    pub fn from_env(quick: bool) -> Result<Inputs, String> {
+        let var = |name: &str| std::env::var(name).ok();
+        let positive = |name| var(name).map(|v| parse_positive(name, &v)).transpose();
+        Ok(Inputs {
+            quick,
+            cores: var("RVM_CORES").map(|v| parse_cores(&v)).transpose()?,
+            dur_ms: positive("RVM_DUR_MS")?,
+            metis_words: positive("RVM_METIS_WORDS")?,
+        })
     }
+
+    /// `quick` under `--quick`, else `full`.
+    pub fn pick<T>(&self, quick: T, full: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            full
+        }
+    }
+
+    /// Core counts for a sweep: `RVM_CORES` if set, else the scenario's
+    /// default for this mode.
+    pub fn cores(&self, quick: &[usize], full: &[usize]) -> Vec<usize> {
+        self.cores
+            .clone()
+            .unwrap_or_else(|| self.pick(quick, full).to_vec())
+    }
+
+    /// Core counts for the figure sweeps: the paper's x-axis, whole chips
+    /// of 10 cores at a time plus a single core (§5.1).
+    pub fn figure_cores(&self) -> Vec<usize> {
+        self.cores(&[1, 4, 16, 48, 80], &[1, 10, 20, 30, 40, 50, 60, 70, 80])
+    }
+
+    /// Virtual duration per measured point (base value at ≤ 10 cores).
+    pub fn duration_ns(&self) -> u64 {
+        self.dur_ms.unwrap_or(self.pick(8, 25)) * 1_000_000
+    }
+}
+
+/// Parses `RVM_CORES`: a comma-separated, strictly ascending list of core
+/// counts in `1..=MAX_CORES`.
+pub fn parse_cores(value: &str) -> Result<Vec<usize>, String> {
+    let bad = |why: &str| format!("RVM_CORES={value:?}: {why}");
+    let mut cores: Vec<usize> = Vec::new();
+    for item in value.split(',') {
+        let n: usize = item
+            .trim()
+            .parse()
+            .map_err(|_| bad(&format!("{:?} is not a core count", item.trim())))?;
+        if !(1..=MAX_CORES).contains(&n) {
+            return Err(bad(&format!("{n} is outside 1..={MAX_CORES}")));
+        }
+        if cores.last().is_some_and(|&last| last >= n) {
+            return Err(bad("core counts must be strictly ascending"));
+        }
+        cores.push(n);
+    }
+    Ok(cores)
+}
+
+/// Parses a positive integer input such as `RVM_DUR_MS`. The bound of
+/// 2^32 keeps every duration derived from it within `u64` nanoseconds.
+pub fn parse_positive(name: &str, value: &str) -> Result<u64, String> {
+    match value.trim().parse::<u32>() {
+        Ok(n) if n > 0 => Ok(n.into()),
+        _ => Err(format!(
+            "{name}={value:?}: expected a positive integer below 2^32"
+        )),
+    }
+}
+
+/// One gate's verdict: its name and every condition the run missed
+/// (empty means it passed).
+#[derive(Clone, Debug)]
+pub struct Gate {
+    /// What the gate holds, as the failure report names it.
+    pub name: &'static str,
+    /// Human-readable failures.
+    pub failures: Vec<String>,
+}
+
+impl Gate {
+    /// A gate with no failures yet.
+    pub fn new(name: &'static str) -> Gate {
+        Gate {
+            name,
+            failures: Vec::new(),
+        }
+    }
+
+    /// Records `why()` as a failure when `failed` holds.
+    pub fn fail_if(&mut self, failed: bool, why: impl FnOnce() -> String) {
+        if failed {
+            self.failures.push(why());
+        }
+    }
+
+    /// True when every condition held.
+    pub fn passed(&self) -> bool {
+        self.failures.is_empty()
+    }
+
+    /// `section` with this verdict appended as `"passed"`.
+    pub fn stamp(&self, section: Json) -> Json {
+        section.with("passed", self.passed())
+    }
+}
+
+/// What a record scenario hands the driver: the JSON it prints and the
+/// gates that set its exit code.
+#[derive(Clone, Debug)]
+pub struct Record {
+    /// The record, printed to stdout.
+    pub json: Json,
+    /// Every gate the record evaluated.
+    pub gates: Vec<Gate>,
 }
 
 /// Prints a CSV table: header then one row per core count, one column
@@ -204,6 +328,20 @@ mod tests {
         });
         let ratio = p.per_sec() / p1.per_sec();
         assert!(ratio > 3.5 && ratio < 4.5, "ratio {ratio}");
+    }
+
+    #[test]
+    fn environment_inputs_are_validated() {
+        assert_eq!(parse_cores("1, 4,16"), Ok(vec![1, 4, 16]));
+        for bad in ["", "abc", "0", "1,,4", "4,1", "4,4", "129", "-1"] {
+            let err = parse_cores(bad).expect_err(bad);
+            assert!(err.starts_with(&format!("RVM_CORES={bad:?}")), "{err}");
+        }
+        assert_eq!(parse_positive("RVM_DUR_MS", "6"), Ok(6));
+        for bad in ["", "abc", "0", "-3", "2.5", "4294967296"] {
+            let err = parse_positive("RVM_DUR_MS", bad).expect_err(bad);
+            assert!(err.starts_with(&format!("RVM_DUR_MS={bad:?}")), "{err}");
+        }
     }
 
     #[test]

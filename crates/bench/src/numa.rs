@@ -1,6 +1,6 @@
 //! The NUMA placement sweep: distance-priced workloads across
-//! topologies × placement policies, and the gates `bench_numa` /
-//! `BENCH_numa.json` enforce.
+//! topologies × placement policies, and the gates the `numa` scenario
+//! ([`record`], `BENCH_numa.json`) enforces.
 //!
 //! The simulator prices every cache-line transfer and every page of
 //! allocator work by the hop distance it crosses (`rvm_sync::model`),
@@ -10,7 +10,7 @@
 //! on-node vs cross-node allocator traffic, and the per-label
 //! cross-node transfer attribution.
 //!
-//! Three things are gated (ISSUE 7's acceptance bar):
+//! Three things are gated:
 //!
 //! 1. on 4 nodes, first-touch beats interleave by ≥
 //!    [`FT_OVER_INTERLEAVE_FLOOR`]× on disjoint ops — local placement
@@ -27,31 +27,8 @@ use std::sync::Arc;
 use rvm_hw::{Machine, MachineConfig, PlacementPolicy};
 use rvm_sync::{sim, CostModel, Topology};
 
-use crate::{build, run_sim_collect, workloads, BackendKind};
-
-/// Workloads the NUMA sweep drives (on the Radix backend).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NumaWorkload {
-    /// Per-core private mmap+touch+munmap cycles ([`workloads::local`]).
-    Disjoint,
-    /// All cores hammering one persistent 4-page range
-    /// ([`workloads::contended`]).
-    Contended,
-    /// Read-mostly descents through one hot interior node with a
-    /// sibling-slot writer ([`workloads::index_churn`]).
-    IndexChurn,
-}
-
-impl NumaWorkload {
-    /// JSON / display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            NumaWorkload::Disjoint => "disjoint",
-            NumaWorkload::Contended => "contended",
-            NumaWorkload::IndexChurn => "index-churn",
-        }
-    }
-}
+use crate::workloads::Workload;
+use crate::{build, ratio, run_sim_collect, BackendKind, Gate, Inputs, Json, Record};
 
 /// Display name of a placement policy (JSON keys).
 pub fn policy_name(p: PlacementPolicy) -> &'static str {
@@ -107,11 +84,41 @@ pub struct NumaPoint {
 impl NumaPoint {
     /// Work units per virtual second.
     pub fn ops_per_sec(&self) -> f64 {
-        if self.virt_ns == 0 {
-            0.0
-        } else {
-            self.ops as f64 * 1e9 / self.virt_ns as f64
-        }
+        ratio(self.ops as f64 * 1e9, self.virt_ns as f64)
+    }
+
+    /// The point as a record row. Its `attribution` lists one flattened
+    /// source→destination matrix per label with any cross-node traffic.
+    /// The labels with any cross-node traffic, with their matrices.
+    fn live_attribution(&self) -> impl Iterator<Item = &(&'static str, Vec<u64>)> {
+        self.attribution
+            .iter()
+            .filter(|(_, m)| m.iter().any(|&v| v > 0))
+    }
+
+    fn json(&self) -> Json {
+        let attribution: Vec<Json> = self
+            .live_attribution()
+            .map(|(label, m)| {
+                Json::obj()
+                    .with("label", *label)
+                    .with("total", m.iter().sum::<u64>())
+                    .with("matrix", m.clone())
+            })
+            .collect();
+        Json::obj()
+            .with("workload", self.workload)
+            .with("cores", self.cores)
+            .with("nnodes", self.nnodes)
+            .with("policy", self.policy)
+            .with("ops_per_sec", Json::fixed(self.ops_per_sec(), 0))
+            .with("cross_node_transfers", self.cross_node_transfers)
+            .with("index_cross", self.index_cross)
+            .with("on_node_frees", self.on_node_frees)
+            .with("cross_node_frees", self.cross_node_frees)
+            .with("fault_frames_on_node", self.fault_frames_on_node)
+            .with("fault_frames_cross_node", self.fault_frames_cross_node)
+            .with("attribution", attribution)
     }
 }
 
@@ -133,7 +140,7 @@ pub fn numa_model(nnodes: usize) -> CostModel {
 /// configuration and captures the cross-node attribution before the
 /// simulator tears down.
 pub fn numa_point(
-    workload: NumaWorkload,
+    workload: Workload,
     ncores: usize,
     nnodes: usize,
     policy: PlacementPolicy,
@@ -141,18 +148,11 @@ pub fn numa_point(
 ) -> NumaPoint {
     let machine = numa_machine(ncores, nnodes, policy);
     let vm = build(&machine, BackendKind::Radix);
-    let make = |core: usize| -> Box<dyn FnMut() -> u64> {
-        match workload {
-            NumaWorkload::Disjoint => workloads::local(machine.clone(), vm.clone(), core),
-            NumaWorkload::Contended => workloads::contended(machine.clone(), vm.clone(), core),
-            NumaWorkload::IndexChurn => workloads::index_churn(machine.clone(), vm.clone(), core),
-        }
-    };
     let (point, attribution) = run_sim_collect(
         ncores,
         duration_ns,
         numa_model(nnodes),
-        make,
+        workload.on(&machine, &vm, ncores),
         sim::cross_node_transfers_by_label,
     );
     let pool = machine.pool().stats();
@@ -184,143 +184,99 @@ pub fn numa_point(
 /// pays hop-priced zeroing and drags remote page lines behind it.
 pub const FT_OVER_INTERLEAVE_FLOOR: f64 = 1.2;
 
-/// Verdict of the NUMA placement gate.
-#[derive(Clone, Debug)]
-pub struct NumaReport {
-    /// Cores the gate ran on.
-    pub cores: usize,
-    /// Nodes the gate ran on.
-    pub nnodes: usize,
-    /// Disjoint-ops throughput ratio, first-touch over interleave.
-    pub ft_over_interleave: f64,
-    /// `radix-index` cross-node transfers under first-touch (index churn).
-    pub ft_index_cross: u64,
-    /// Same under replicate-read-only.
-    pub replicate_index_cross: u64,
-    /// Labels with non-zero cross-node traffic in the contended run.
-    pub contended_labels: usize,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl NumaReport {
-    /// True when every condition held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Evaluates the three NUMA gate conditions from measured points.
-pub fn check_numa(
-    disjoint_ft: &NumaPoint,
-    disjoint_il: &NumaPoint,
-    churn_ft: &NumaPoint,
-    churn_rep: &NumaPoint,
-    contended: &NumaPoint,
-) -> NumaReport {
-    let mut failures = Vec::new();
-    let il = disjoint_il.ops_per_sec();
-    let ft_over_interleave = if il > 0.0 {
-        disjoint_ft.ops_per_sec() / il
-    } else {
-        0.0
-    };
-    if ft_over_interleave < FT_OVER_INTERLEAVE_FLOOR {
-        failures.push(format!(
+/// Evaluates the three NUMA gate conditions on the points `at(workload,
+/// policy)` returns for the gate's core count on 4 nodes; returns the
+/// record's `gate` section and the verdict.
+pub fn check_numa(at: impl Fn(Workload, PlacementPolicy) -> NumaPoint) -> (Json, Gate) {
+    use PlacementPolicy::{FirstTouch, Interleave, ReplicateReadOnly};
+    let disjoint_ft = at(Workload::Disjoint, FirstTouch);
+    let disjoint_il = at(Workload::Disjoint, Interleave);
+    let churn_ft = at(Workload::IndexChurn, FirstTouch);
+    let churn_rep = at(Workload::IndexChurn, ReplicateReadOnly);
+    let contended = at(Workload::Contended, FirstTouch);
+    let mut gate = Gate::new("NUMA placement");
+    let ft_over_interleave = ratio(disjoint_ft.ops_per_sec(), disjoint_il.ops_per_sec());
+    gate.fail_if(ft_over_interleave < FT_OVER_INTERLEAVE_FLOOR, || {
+        format!(
             "first-touch is only {ft_over_interleave:.3}x interleave on disjoint ops at \
              {} nodes < floor {FT_OVER_INTERLEAVE_FLOOR}",
             disjoint_ft.nnodes
-        ));
-    }
-    if churn_rep.index_cross >= churn_ft.index_cross {
-        failures.push(format!(
+        )
+    });
+    gate.fail_if(churn_rep.index_cross >= churn_ft.index_cross, || {
+        format!(
             "replicate-read-only moved {} cross-node radix-index lines vs first-touch's {} \
              on index churn — replication did not cut index traffic",
             churn_rep.index_cross, churn_ft.index_cross
-        ));
-    }
-    let contended_labels = contended
-        .attribution
-        .iter()
-        .filter(|(_, m)| m.iter().any(|&v| v > 0))
-        .count();
-    if contended_labels == 0 {
-        failures.push(
-            "contended workload produced no cross-node transfer attribution (labels empty)"
-                .to_string(),
-        );
-    }
-    NumaReport {
-        cores: disjoint_ft.cores,
-        nnodes: disjoint_ft.nnodes,
-        ft_over_interleave,
-        ft_index_cross: churn_ft.index_cross,
-        replicate_index_cross: churn_rep.index_cross,
-        contended_labels,
-        failures,
-    }
+        )
+    });
+    let contended_labels = contended.live_attribution().count();
+    gate.fail_if(contended_labels == 0, || {
+        "contended workload produced no cross-node transfer attribution (labels empty)".to_string()
+    });
+    let section = Json::obj()
+        .with("cores", disjoint_ft.cores)
+        .with("nnodes", disjoint_ft.nnodes)
+        .with("ft_over_interleave_floor", FT_OVER_INTERLEAVE_FLOOR)
+        .with("ft_over_interleave", Json::fixed(ft_over_interleave, 4))
+        .with("ft_index_cross", churn_ft.index_cross)
+        .with("replicate_index_cross", churn_rep.index_cross)
+        .with("contended_labels", contended_labels);
+    (gate.stamp(section), gate)
 }
 
-/// Runs the five gate points at `ncores` on a 4-node striped topology
-/// and evaluates the gate (the entry point both the unit test and
-/// `bench_numa` use).
-pub fn run_numa_gate(ncores: usize, duration_ns: u64) -> NumaReport {
-    const GATE_NODES: usize = 4;
-    let disjoint_ft = numa_point(
-        NumaWorkload::Disjoint,
-        ncores,
-        GATE_NODES,
-        PlacementPolicy::FirstTouch,
-        duration_ns,
-    );
-    let disjoint_il = numa_point(
-        NumaWorkload::Disjoint,
-        ncores,
-        GATE_NODES,
-        PlacementPolicy::Interleave,
-        duration_ns,
-    );
-    let churn_ft = numa_point(
-        NumaWorkload::IndexChurn,
-        ncores,
-        GATE_NODES,
-        PlacementPolicy::FirstTouch,
-        duration_ns,
-    );
-    let churn_rep = numa_point(
-        NumaWorkload::IndexChurn,
-        ncores,
-        GATE_NODES,
-        PlacementPolicy::ReplicateReadOnly,
-        duration_ns,
-    );
-    let contended = numa_point(
-        NumaWorkload::Contended,
-        ncores,
-        GATE_NODES,
-        PlacementPolicy::FirstTouch,
-        duration_ns,
-    );
-    check_numa(
-        &disjoint_ft,
-        &disjoint_il,
-        &churn_ft,
-        &churn_rep,
-        &contended,
-    )
-}
-
-/// Core counts for the NUMA sweep: `RVM_CORES` override, 8 for
-/// `--quick`, 16 otherwise (cores stripe across up to 4 nodes, so both
-/// put multiple cores on every node).
-pub fn numa_core_counts() -> Vec<usize> {
-    if let Ok(s) = std::env::var("RVM_CORES") {
-        return s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
+/// The `numa` record: every workload × node count × policy at each core
+/// count, gated on the largest core count's 4-node points. Default cores
+/// are 16, or 8 under `--quick` (cores stripe across up to 4 nodes, so
+/// both put multiple cores on every node).
+pub fn record(inp: &Inputs) -> Record {
+    let cores = inp.cores(&[8], &[16]);
+    let dur = inp.duration_ns();
+    let mut points: Vec<NumaPoint> = Vec::new();
+    for &ncores in &cores {
+        for &nnodes in &NODE_COUNTS {
+            for policy in POLICIES {
+                for w in [
+                    Workload::Disjoint,
+                    Workload::Contended,
+                    Workload::IndexChurn,
+                ] {
+                    let p = numa_point(w, ncores, nnodes, policy, dur);
+                    eprint!("  {}", p.json().pretty());
+                    points.push(p);
+                }
+            }
+        }
     }
-    if crate::quick() {
-        vec![8]
-    } else {
-        vec![16]
+    let gate_cores = *cores.last().expect("RVM_CORES is never empty");
+    let (gate_section, gate) = check_numa(|w, policy| {
+        let found = points.iter().find(|p| {
+            p.workload == w.name()
+                && p.cores == gate_cores
+                && p.nnodes == 4
+                && p.policy == policy_name(policy)
+        });
+        found.expect("the sweep covers every gate point").clone()
+    });
+    let json = Json::obj()
+        .with("schema", 1u64)
+        .with("bench", "numa")
+        .with(
+            "workloads",
+            "disjoint local cycles / contended 4-page range / index churn through one hot \
+             interior node",
+        )
+        .with("cores", cores)
+        .with("node_counts", NODE_COUNTS.to_vec())
+        .with("policies", POLICIES.map(policy_name).to_vec())
+        .with(
+            "points",
+            points.iter().map(NumaPoint::json).collect::<Vec<_>>(),
+        )
+        .with("gate", gate_section);
+    Record {
+        json,
+        gates: vec![gate],
     }
 }
 
@@ -334,11 +290,11 @@ mod tests {
     /// non-empty. Deterministic — not a flaky perf test.
     #[test]
     fn numa_placement_gate() {
-        let report = run_numa_gate(8, 3_000_000);
+        let (_, gate) = check_numa(|w, policy| numa_point(w, 8, 4, policy, 3_000_000));
         assert!(
-            report.passed(),
+            gate.passed(),
             "NUMA gate failed:\n  {}",
-            report.failures.join("\n  ")
+            gate.failures.join("\n  ")
         );
     }
 
@@ -348,7 +304,7 @@ mod tests {
     #[test]
     fn single_node_is_flat() {
         for policy in POLICIES {
-            let p = numa_point(NumaWorkload::Disjoint, 4, 1, policy, 1_000_000);
+            let p = numa_point(Workload::Disjoint, 4, 1, policy, 1_000_000);
             assert!(p.ops > 0, "{}: no progress", p.policy);
             assert_eq!(
                 p.cross_node_transfers, 0,
@@ -373,7 +329,7 @@ mod tests {
     #[test]
     fn first_touch_disjoint_is_node_local() {
         let p = numa_point(
-            NumaWorkload::Disjoint,
+            Workload::Disjoint,
             8,
             4,
             PlacementPolicy::FirstTouch,
@@ -392,7 +348,7 @@ mod tests {
     #[test]
     fn interleave_spreads_fault_frames() {
         let p = numa_point(
-            NumaWorkload::Disjoint,
+            Workload::Disjoint,
             8,
             4,
             PlacementPolicy::Interleave,

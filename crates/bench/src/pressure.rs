@@ -1,6 +1,6 @@
 //! Memory-pressure benchmark: throughput near pool exhaustion and the
-//! superpage fallback behavior gate (`bench_pressure` /
-//! `BENCH_pressure.json`).
+//! superpage fallback behavior gate (the `pressure` scenario,
+//! [`record`], and `BENCH_pressure.json`).
 //!
 //! Two questions, two measurements:
 //!
@@ -24,12 +24,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rvm_hw::{
-    Backing, Machine, MachineConfig, MapFlags, PlacementPolicy, Prot, VmError, VmSystem,
-    BLOCK_PAGES, PAGE_SIZE,
+    Backing, Machine, MapFlags, PlacementPolicy, Prot, VmError, VmSystem, BLOCK_PAGES, PAGE_SIZE,
 };
-use rvm_sync::{CostModel, Topology};
 
-use crate::{build, run_sim, BackendKind};
+use crate::numa::{numa_machine, numa_model};
+use crate::{build, ratio, run_sim, BackendKind, Gate, Inputs, Json, Record};
 
 /// Frame-table cap for every pressure run: small enough that the
 /// pre-fill reaches real exhaustion quickly, large enough that the
@@ -77,11 +76,7 @@ pub struct PressurePoint {
 impl PressurePoint {
     /// Cycles per virtual second.
     pub fn ops_per_sec(&self) -> f64 {
-        if self.virt_ns == 0 {
-            0.0
-        } else {
-            self.ops as f64 * 1e9 / self.virt_ns as f64
-        }
+        ratio(self.ops as f64 * 1e9, self.virt_ns as f64)
     }
 }
 
@@ -102,13 +97,10 @@ pub struct FragmentationPoint {
     pub superpage_installs: u64,
 }
 
-/// Two-node machine capped at [`FRAME_LIMIT`] frames.
-fn capped_machine(ncores: usize) -> Arc<Machine> {
-    let mut cfg = MachineConfig::new(ncores);
-    cfg.placement = PlacementPolicy::FirstTouch;
-    cfg.topology = Topology::striped(2);
-    let machine = Machine::with_config(cfg);
-    machine.pool().set_frame_limit(FRAME_LIMIT);
+/// Two-node first-touch machine capped at `frame_limit` frames.
+fn capped_machine(ncores: usize, frame_limit: u64) -> Arc<Machine> {
+    let machine = numa_machine(ncores, 2, PlacementPolicy::FirstTouch);
+    machine.pool().set_frame_limit(frame_limit);
     machine
 }
 
@@ -130,50 +122,45 @@ fn prefill(machine: &Arc<Machine>, vm: &Arc<dyn VmSystem>, ncores: usize, frames
 
 /// Runs the OOM-tolerant local cycle at one pre-fill level.
 pub fn pressure_point(ncores: usize, utilization_pct: u64, duration_ns: u64) -> PressurePoint {
-    let machine = capped_machine(ncores);
+    let machine = capped_machine(ncores, FRAME_LIMIT);
     let vm = build(&machine, BackendKind::Radix);
     let prefilled = FRAME_LIMIT * utilization_pct / 100;
     prefill(&machine, &vm, ncores, prefilled);
     let base_pool = machine.pool().stats();
     let base_op = vm.op_stats();
     let stalls = Arc::new(AtomicU64::new(0));
-    let point = run_sim(
-        ncores,
-        duration_ns,
-        CostModel::default().with_topology(Topology::striped(2)),
-        |core| {
-            let (machine, vm, stalls) = (machine.clone(), vm.clone(), stalls.clone());
-            vm.attach_core(core);
-            let base = CYCLE_BASE + core as u64 * (1 << 30);
-            let mut i = 0u64;
-            Box::new(move || {
-                let addr = base + (i % 64) * PAGE_SIZE;
-                i += 1;
-                vm.mmap(core, addr, PAGE_SIZE, Prot::RW, Backing::Anon)
-                    .expect("mmap allocates no frames");
-                let units = match machine.touch_page(core, &*vm, addr, i as u8) {
-                    Ok(()) => 1,
-                    Err(VmError::OutOfMemory) => {
-                        // Tolerated: give reclaim a tick and retry the
-                        // slot on a later cycle.
-                        stalls.fetch_add(1, Ordering::Relaxed);
-                        vm.maintain(core);
-                        0
-                    }
-                    Err(e) => panic!("pressure cycle: unexpected {e}"),
-                };
-                vm.munmap(core, addr, PAGE_SIZE).expect("munmap");
-                // Tick maintenance more often than the unpressured
-                // workloads do: near the cap, frames parked in deferred
-                // refcache frees are the difference between a pressure
-                // stall and a free-list hit.
-                if i.is_multiple_of(32) {
+    let point = run_sim(ncores, duration_ns, numa_model(2), |core| {
+        let (machine, vm, stalls) = (machine.clone(), vm.clone(), stalls.clone());
+        vm.attach_core(core);
+        let base = CYCLE_BASE + core as u64 * (1 << 30);
+        let mut i = 0u64;
+        Box::new(move || {
+            let addr = base + (i % 64) * PAGE_SIZE;
+            i += 1;
+            vm.mmap(core, addr, PAGE_SIZE, Prot::RW, Backing::Anon)
+                .expect("mmap allocates no frames");
+            let units = match machine.touch_page(core, &*vm, addr, i as u8) {
+                Ok(()) => 1,
+                Err(VmError::OutOfMemory) => {
+                    // Tolerated: give reclaim a tick and retry the
+                    // slot on a later cycle.
+                    stalls.fetch_add(1, Ordering::Relaxed);
                     vm.maintain(core);
+                    0
                 }
-                units
-            })
-        },
-    );
+                Err(e) => panic!("pressure cycle: unexpected {e}"),
+            };
+            vm.munmap(core, addr, PAGE_SIZE).expect("munmap");
+            // Tick maintenance more often than the unpressured
+            // workloads do: near the cap, frames parked in deferred
+            // refcache frees are the difference between a pressure
+            // stall and a free-list hit.
+            if i.is_multiple_of(32) {
+                vm.maintain(core);
+            }
+            units
+        })
+    });
     let pool = machine.pool().stats();
     let op = vm.op_stats();
     PressurePoint {
@@ -197,11 +184,7 @@ pub fn fragmentation_point() -> FragmentationPoint {
     const PREFILL: u64 = 600; // headroom ≈ 1024 − 640 < BLOCK_PAGES
     const TOUCH: u64 = BLOCK_PAGES / 2;
     let ncores = 2;
-    let mut cfg = MachineConfig::new(ncores);
-    cfg.placement = PlacementPolicy::FirstTouch;
-    cfg.topology = Topology::striped(2);
-    let machine = Machine::with_config(cfg);
-    machine.pool().set_frame_limit(1024);
+    let machine = capped_machine(ncores, 1024);
     let vm = build(&machine, BackendKind::Radix);
     prefill(&machine, &vm, ncores, PREFILL);
     vm.mmap_flags(
@@ -229,102 +212,116 @@ pub fn fragmentation_point() -> FragmentationPoint {
     }
 }
 
-/// Verdict of the pressure gate.
-#[derive(Clone, Debug)]
-pub struct PressureReport {
-    /// Cores the throughput points ran on.
-    pub cores: usize,
-    /// Throughput ratio, 90% utilization over 0% baseline.
-    pub pressured_over_baseline: f64,
-    /// Block fallbacks on the fragmentation run.
-    pub block_fallbacks: u64,
-    /// OOM faults on the fragmentation run (must be 0).
-    pub frag_oom_faults: u64,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl PressureReport {
-    /// True when every condition held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Evaluates the pressure gate from measured points.
+/// Evaluates the pressure gate from measured points; returns the
+/// record's `gate` section and the verdict.
 pub fn check_pressure(
     baseline: &PressurePoint,
     pressured: &PressurePoint,
     frag: &FragmentationPoint,
-) -> PressureReport {
-    let mut failures = Vec::new();
-    if baseline.ops == 0 {
-        failures.push("baseline run made no progress".to_string());
-    }
-    if pressured.ops == 0 {
-        failures.push("pressured run made no progress".to_string());
-    }
-    let base = baseline.ops_per_sec();
-    let ratio = if base > 0.0 {
-        pressured.ops_per_sec() / base
-    } else {
-        0.0
-    };
-    if ratio < PRESSURE_THROUGHPUT_FLOOR {
-        failures.push(format!(
-            "throughput at {}% utilization is only {ratio:.3}x the unpressured baseline \
+) -> (Json, Gate) {
+    let mut gate = Gate::new("pressure");
+    gate.fail_if(baseline.ops == 0, || {
+        "baseline run made no progress".to_string()
+    });
+    gate.fail_if(pressured.ops == 0, || {
+        "pressured run made no progress".to_string()
+    });
+    let over_baseline = ratio(pressured.ops_per_sec(), baseline.ops_per_sec());
+    gate.fail_if(over_baseline < PRESSURE_THROUGHPUT_FLOOR, || {
+        format!(
+            "throughput at {}% utilization is only {over_baseline:.3}x the unpressured baseline \
              < floor {PRESSURE_THROUGHPUT_FLOOR}",
             pressured.utilization_pct
-        ));
-    }
-    if frag.block_fallbacks == 0 {
-        failures.push(
-            "fragmented huge-page run recorded no block fallbacks — the squeeze never \
-             exercised the degradation path"
-                .to_string(),
-        );
-    }
-    if frag.oom_faults != 0 {
-        failures.push(format!(
+        )
+    });
+    gate.fail_if(frag.block_fallbacks == 0, || {
+        "fragmented huge-page run recorded no block fallbacks — the squeeze never \
+         exercised the degradation path"
+            .to_string()
+    });
+    gate.fail_if(frag.oom_faults != 0, || {
+        format!(
             "fragmented huge-page run surfaced {} OOM faults — fallback must succeed, \
              not fail",
             frag.oom_faults
-        ));
-    }
-    if frag.superpage_installs != 0 {
-        failures.push(format!(
+        )
+    });
+    gate.fail_if(frag.superpage_installs != 0, || {
+        format!(
             "fragmented run installed {} superpages with headroom below one block",
             frag.superpage_installs
-        ));
-    }
-    PressureReport {
-        cores: baseline.cores,
-        pressured_over_baseline: ratio,
-        block_fallbacks: frag.block_fallbacks,
-        frag_oom_faults: frag.oom_faults,
-        failures,
-    }
+        )
+    });
+    let section = Json::obj()
+        .with("cores", baseline.cores)
+        .with("throughput_floor", PRESSURE_THROUGHPUT_FLOOR)
+        .with("pressured_over_baseline", Json::fixed(over_baseline, 4))
+        .with("block_fallbacks", frag.block_fallbacks)
+        .with("frag_oom_faults", frag.oom_faults);
+    (gate.stamp(section), gate)
 }
 
-/// Runs the gate points at `ncores` (the entry point both the unit test
-/// and `bench_pressure` use).
-pub fn run_pressure_gate(ncores: usize, duration_ns: u64) -> PressureReport {
-    let baseline = pressure_point(ncores, 0, duration_ns);
-    let pressured = pressure_point(ncores, 90, duration_ns);
+/// The `pressure` record: the utilization sweep at each core count and
+/// the fragmentation point, gated on the largest core count's 0% and
+/// 90% points. Default cores are 8, or 4 under `--quick` (both stripe
+/// across the 2 nodes).
+pub fn record(inp: &Inputs) -> Record {
+    let cores = inp.cores(&[4], &[8]);
+    let dur = inp.duration_ns();
+    let mut points: Vec<PressurePoint> = Vec::new();
+    let mut rows = Vec::new();
+    for &ncores in &cores {
+        for &util in &UTILIZATIONS {
+            let p = pressure_point(ncores, util, dur);
+            let row = Json::obj()
+                .with("cores", p.cores)
+                .with("utilization_pct", p.utilization_pct)
+                .with("frame_limit", p.frame_limit)
+                .with("prefilled", p.prefilled)
+                .with("ops_per_sec", Json::fixed(p.ops_per_sec(), 0))
+                .with("oom_stalls", p.oom_stalls)
+                .with("reclaim_drains", p.reclaim_drains)
+                .with("remote_steals", p.remote_steals)
+                .with("oom_faults", p.oom_faults);
+            eprint!("  {}", row.pretty());
+            rows.push(row);
+            points.push(p);
+        }
+    }
     let frag = fragmentation_point();
-    check_pressure(&baseline, &pressured, &frag)
-}
-
-/// Core counts for the pressure sweep: `RVM_CORES` override, else 4 for
-/// `--quick`, 8 otherwise (both stripe across the 2 nodes).
-pub fn pressure_core_counts() -> Vec<usize> {
-    if let Ok(s) = std::env::var("RVM_CORES") {
-        return s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-    }
-    if crate::quick() {
-        vec![4]
-    } else {
-        vec![8]
+    let fragmentation = Json::obj()
+        .with("frame_limit", frag.frame_limit)
+        .with("prefilled", frag.prefilled)
+        .with("touched", frag.touched)
+        .with("block_fallbacks", frag.block_fallbacks)
+        .with("oom_faults", frag.oom_faults)
+        .with("superpage_installs", frag.superpage_installs);
+    eprint!("  fragmentation: {}", fragmentation.pretty());
+    let gate_cores = *cores.last().expect("RVM_CORES is never empty");
+    let find = |util: u64| {
+        points
+            .iter()
+            .find(|p| p.cores == gate_cores && p.utilization_pct == util)
+            .expect("the sweep covers every gate point")
+    };
+    let (gate_section, gate) = check_pressure(find(0), find(90), &frag);
+    let json = Json::obj()
+        .with("schema", 1u64)
+        .with("bench", "pressure")
+        .with(
+            "workload",
+            "OOM-tolerant per-core mmap+touch+munmap cycles on a frame-capped two-node \
+             machine; huge-hinted populate under squeezed headroom",
+        )
+        .with("frame_limit", FRAME_LIMIT)
+        .with("cores", cores)
+        .with("utilizations_pct", UTILIZATIONS.to_vec())
+        .with("points", rows)
+        .with("fragmentation", fragmentation)
+        .with("gate", gate_section);
+    Record {
+        json,
+        gates: vec![gate],
     }
 }
 
@@ -338,11 +335,13 @@ mod tests {
     /// Deterministic — the simulator interleaving is fixed.
     #[test]
     fn pressure_gate() {
-        let report = run_pressure_gate(4, 2_000_000);
+        let baseline = pressure_point(4, 0, 2_000_000);
+        let pressured = pressure_point(4, 90, 2_000_000);
+        let (_, gate) = check_pressure(&baseline, &pressured, &fragmentation_point());
         assert!(
-            report.passed(),
+            gate.passed(),
             "pressure gate failed:\n  {}",
-            report.failures.join("\n  ")
+            gate.failures.join("\n  ")
         );
     }
 

@@ -18,13 +18,14 @@
 //!    table-line traffic from anonymous heap recycling at a glance.
 //!
 //! [`check_gate`] turns measurement 1 into a pass/fail gate enforced by
-//! `cargo test` and the `bench_refcount` CI smoke step.
+//! `cargo test` and the `refcount` scenario's CI smoke step ([`record`]).
 
 use rvm_core::RadixVm;
 use rvm_hw::{Backing, Machine, Prot, PAGE_SIZE};
 use rvm_sync::{sim, CostModel};
 
-use crate::{build, BackendKind};
+use crate::fastpath::refault;
+use crate::{build, ratio, BackendKind, Gate, Inputs, Json, Record};
 
 /// Pages in the cold-populate region.
 const COLD_PAGES: u64 = 1024;
@@ -101,13 +102,7 @@ pub fn run_refcount(attribution_cores: usize, attribution_ns: u64) -> RefcountRe
     // Warm loop: invalidate-own-TLB + refault on 8 pages.
     let ff0 = vm.op_stats().faults_fill;
     let heap0 = sim::stats().cores[0].heap_allocs;
-    for i in 0..WARM_ITERS {
-        let vpn = (BASE >> 12) + (i % 8);
-        machine.invalidate_local(0, vm.asid(), vpn, 1);
-        machine
-            .read_u64(0, &*vm, BASE + (i % 8) * PAGE_SIZE)
-            .unwrap();
-    }
+    (0..WARM_ITERS).for_each(|i| refault(&machine, &*vm, BASE, 8, i));
     let warm_faults = vm.op_stats().faults_fill - ff0;
     let warm_heap_allocs = sim::stats().cores[0].heap_allocs - heap0;
 
@@ -121,26 +116,15 @@ pub fn run_refcount(attribution_cores: usize, attribution_ns: u64) -> RefcountRe
     drop(guard);
 
     // --- Measurement 2: remote-line attribution on disjoint ops. ---
+    // The machine is built under the installed simulator (unlike
+    // `run_sim`'s callers), so its frame table registers its label.
     let guard = sim::install(attribution_cores, CostModel::default());
     let machine = Machine::new(attribution_cores);
     let vm = build(&machine, BackendKind::Radix);
     let mut ops: Vec<Box<dyn FnMut() -> u64>> = (0..attribution_cores)
         .map(|core| crate::workloads::local(machine.clone(), vm.clone(), core))
         .collect();
-    loop {
-        let core = sim::min_clock_core();
-        if sim::clock(core) >= attribution_ns {
-            break;
-        }
-        sim::switch(core);
-        let before = sim::clock(core);
-        ops[core]();
-        if sim::clock(core) == before {
-            // Same forward-progress guard as `run_sim`: an op that
-            // charged nothing must still advance the clock.
-            sim::charge(50);
-        }
-    }
+    crate::drive(&mut ops, attribution_ns);
     let remote_by_label: Vec<(String, u64)> = sim::remote_transfers_by_label()
         .into_iter()
         .map(|(l, t)| (l.to_string(), t))
@@ -154,11 +138,7 @@ pub fn run_refcount(attribution_cores: usize, attribution_ns: u64) -> RefcountRe
         .filter(|(l, _)| l == "frame-table")
         .map(|(_, t)| t)
         .sum();
-    let frame_table_share = if total == 0 {
-        0.0
-    } else {
-        table as f64 / total as f64
-    };
+    let frame_table_share = ratio(table as f64, total as f64);
 
     RefcountReport {
         cold_faults,
@@ -174,41 +154,95 @@ pub fn run_refcount(attribution_cores: usize, attribution_ns: u64) -> RefcountRe
     }
 }
 
-/// Evaluates the zero-allocation ownership gate; returns failures
-/// (empty = pass).
-pub fn check_gate(r: &RefcountReport) -> Vec<String> {
-    let mut failures = Vec::new();
-    if r.cold_faults < COLD_PAGES {
-        failures.push(format!(
+/// Evaluates the zero-allocation ownership gate.
+pub fn check_gate(r: &RefcountReport) -> Gate {
+    let mut gate = Gate::new("refcount ownership");
+    gate.fail_if(r.cold_faults < COLD_PAGES, || {
+        format!(
             "expected {COLD_PAGES} cold faults, measured {}",
             r.cold_faults
-        ));
-    }
-    if r.cold_refcache_obj_allocs != 0 {
-        failures.push(format!(
+        )
+    });
+    gate.fail_if(r.cold_refcache_obj_allocs != 0, || {
+        format!(
             "cold fault path allocated {} Refcache heap objects (must be 0)",
             r.cold_refcache_obj_allocs
-        ));
-    }
-    if r.cold_heap_allocs != 0 {
-        failures.push(format!(
+        )
+    });
+    gate.fail_if(r.cold_heap_allocs != 0, || {
+        format!(
             "cold fault path charged {} heap allocations (must be 0)",
             r.cold_heap_allocs
-        ));
-    }
-    if r.warm_heap_allocs != 0 {
-        failures.push(format!(
+        )
+    });
+    gate.fail_if(r.warm_heap_allocs != 0, || {
+        format!(
             "warm fault path charged {} heap allocations (must be 0)",
             r.warm_heap_allocs
-        ));
-    }
-    if r.slot_balance_after_teardown != 0 {
-        failures.push(format!(
+        )
+    });
+    gate.fail_if(r.slot_balance_after_teardown != 0, || {
+        format!(
             "{} frame-table activations never released (ownership leak)",
             r.slot_balance_after_teardown
-        ));
+        )
+    });
+    gate
+}
+
+/// The `refcount` record: the allocation-free fault lifecycle, the
+/// frame-table balance, and remote transfers by category on 8 cores (4
+/// under `--quick`).
+pub fn record(inp: &Inputs) -> Record {
+    let cores = inp.pick(4, 8);
+    let r = run_refcount(cores, inp.duration_ns());
+    let gate = check_gate(&r);
+    let by_label = r
+        .remote_by_label
+        .iter()
+        .map(|(label, transfers)| (label.clone(), Json::from(*transfers)));
+    let json = Json::obj()
+        .with("schema", 1u64)
+        .with("bench", "refcount")
+        .with(
+            "workload",
+            format!(
+                "cold populate + warm refill (1 core), disjoint ops attribution ({cores} cores)"
+            ),
+        )
+        .with(
+            "cold",
+            Json::obj()
+                .with("faults", r.cold_faults)
+                .with("refcache_obj_allocs", r.cold_refcache_obj_allocs)
+                .with("heap_allocs", r.cold_heap_allocs),
+        )
+        .with(
+            "warm",
+            Json::obj()
+                .with("faults", r.warm_faults)
+                .with("heap_allocs", r.warm_heap_allocs),
+        )
+        .with(
+            "frame_table",
+            Json::obj()
+                .with("slot_activates", r.slot_activates)
+                .with("slot_releases", r.slot_releases)
+                .with("balance_after_teardown", r.slot_balance_after_teardown),
+        )
+        .with(
+            "remote_transfers_by_category",
+            Json::Obj(by_label.collect()),
+        )
+        .with(
+            "frame_table_share_of_remote",
+            Json::fixed(r.frame_table_share, 4),
+        )
+        .with("gate", gate.stamp(Json::obj()));
+    Record {
+        json,
+        gates: vec![gate],
     }
-    failures
 }
 
 #[cfg(test)]
@@ -221,11 +255,11 @@ mod tests {
     #[test]
     fn fault_path_owns_frames_through_the_table_allocation_free() {
         let report = run_refcount(4, 1_500_000);
-        let failures = check_gate(&report);
+        let gate = check_gate(&report);
         assert!(
-            failures.is_empty(),
+            gate.passed(),
             "refcount ownership gate failed:\n  {}",
-            failures.join("\n  ")
+            gate.failures.join("\n  ")
         );
         assert!(report.slot_activates >= report.cold_faults);
         assert_eq!(report.warm_faults, WARM_ITERS);

@@ -17,16 +17,16 @@
 //!   shootdown).
 //!
 //! [`check_gate`] turns the radix / bonsai / linux curves into a
-//! pass/fail scalability gate: `bench_scale` runs it in CI and
-//! `BENCH_scale.json` records the sweep so successive PRs have a
-//! multicore perf trajectory, complementing the single-core
+//! pass/fail scalability gate: the `scale` scenario ([`record`]) runs it
+//! in CI and `BENCH_scale.json` records the sweep so successive changes
+//! have a multicore perf trajectory, complementing the single-core
 //! `BENCH_fastpath.json`.
 
 use rvm_hw::Machine;
 use rvm_sync::CostModel;
 
-use crate::workloads;
-use crate::{build, run_sim, BackendKind};
+use crate::workloads::Workload;
+use crate::{build, ratio, run_sim, BackendKind, Gate, Inputs, Json, Record};
 
 /// One measured point of the disjoint-ops sweep.
 #[derive(Clone, Debug)]
@@ -51,11 +51,7 @@ pub struct ScalePoint {
 impl ScalePoint {
     /// Operations per virtual second.
     pub fn ops_per_sec(&self) -> f64 {
-        if self.virt_ns == 0 {
-            0.0
-        } else {
-            self.ops as f64 * 1e9 / self.virt_ns as f64
-        }
+        ratio(self.ops as f64 * 1e9, self.virt_ns as f64)
     }
 
     /// Operations per virtual second per core.
@@ -65,34 +61,25 @@ impl ScalePoint {
 
     /// Remote line transfers per operation.
     pub fn remote_per_op(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.remote_transfers as f64 / self.ops as f64
-        }
+        ratio(self.remote_transfers as f64, self.ops as f64)
     }
 
     /// Shootdown IPIs per operation.
     pub fn ipis_per_op(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.ipis as f64 / self.ops as f64
-        }
+        ratio(self.ipis as f64, self.ops as f64)
     }
 }
 
-/// Runs the disjoint-ops workload for one backend at one core count.
+/// Runs `workload` on one backend at one core count.
 ///
 /// A fresh machine and address space per point keeps points independent
 /// (the simulator is deterministic, so every run of this function with
 /// the same arguments produces the same numbers).
-pub fn disjoint_point(kind: BackendKind, ncores: usize, duration_ns: u64) -> ScalePoint {
+pub fn point(kind: BackendKind, workload: Workload, ncores: usize, duration_ns: u64) -> ScalePoint {
     let machine = Machine::new(ncores);
     let vm = build(&machine, kind);
-    let point = run_sim(ncores, duration_ns, CostModel::default(), |core| {
-        workloads::local(machine.clone(), vm.clone(), core)
-    });
+    let make = workload.on(&machine, &vm, ncores);
+    let point = run_sim(ncores, duration_ns, CostModel::default(), make);
     let pool = machine.pool().stats();
     ScalePoint {
         cores: ncores,
@@ -105,16 +92,25 @@ pub fn disjoint_point(kind: BackendKind, ncores: usize, duration_ns: u64) -> Sca
     }
 }
 
-/// Sweeps one backend across `core_counts`.
-pub fn disjoint_sweep(
+/// Sweeps `workload` on one backend across `core_counts`.
+pub fn sweep(
     kind: BackendKind,
+    workload: Workload,
     core_counts: &[usize],
     duration_ns: u64,
 ) -> Vec<ScalePoint> {
     core_counts
         .iter()
-        .map(|&n| disjoint_point(kind, n, crate::point_duration(duration_ns, n)))
+        .map(|&n| point(kind, workload, n, crate::point_duration(duration_ns, n)))
         .collect()
+}
+
+/// The sweep's highest remote line transfers per op.
+fn peak_remote_per_op(points: &[ScalePoint]) -> f64 {
+    points
+        .iter()
+        .map(ScalePoint::remote_per_op)
+        .fold(0.0, f64::max)
 }
 
 /// Per-core throughput retention of the last point relative to the
@@ -125,31 +121,6 @@ pub fn retention(points: &[ScalePoint]) -> f64 {
     match (first, last) {
         (Some(f), Some(l)) if f > 0.0 => l / f,
         _ => 0.0,
-    }
-}
-
-/// The scalability gate's verdict (all curves measured at the same core
-/// counts, radix judged at the sweep's maximum).
-#[derive(Clone, Debug)]
-pub struct GateReport {
-    /// Largest core count in the sweep.
-    pub max_cores: usize,
-    /// RadixVM per-core retention at `max_cores`.
-    pub radix_retention: f64,
-    /// Bonsai per-core retention at `max_cores`.
-    pub bonsai_retention: f64,
-    /// Linux per-core retention at `max_cores`.
-    pub linux_retention: f64,
-    /// RadixVM's worst remote-line-transfers-per-op over the sweep.
-    pub radix_remote_per_op: f64,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl GateReport {
-    /// True when every gate condition held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
     }
 }
 
@@ -164,7 +135,9 @@ pub const RADIX_RETENTION_FLOOR: f64 = 0.70;
 /// ceiling would no longer catch a reintroduced per-fault heap object.
 pub const RADIX_REMOTE_PER_OP_CEIL: f64 = 0.5;
 
-/// Evaluates the scalability gate over radix/bonsai/linux sweeps.
+/// Evaluates the scalability gate over radix/bonsai/linux sweeps (all
+/// measured at the same core counts, radix judged at the sweep's
+/// maximum); returns the record's `gate` section and the verdict.
 ///
 /// Conditions:
 /// 1. radix per-core retention at max cores ≥ [`RADIX_RETENTION_FLOOR`];
@@ -173,7 +146,11 @@ pub const RADIX_REMOTE_PER_OP_CEIL: f64 = 0.5;
 ///    checks, batched magazines);
 /// 3. radix's retention strictly dominates both baselines' — the slope
 ///    separation Figure 5 local shows.
-pub fn check_gate(radix: &[ScalePoint], bonsai: &[ScalePoint], linux: &[ScalePoint]) -> GateReport {
+pub fn check_gate(
+    radix: &[ScalePoint],
+    bonsai: &[ScalePoint],
+    linux: &[ScalePoint],
+) -> (Json, Gate) {
     let max_cores = radix.last().map(|p| p.cores).unwrap_or(0);
     let radix_retention = retention(radix);
     let bonsai_retention = retention(bonsai);
@@ -181,73 +158,34 @@ pub fn check_gate(radix: &[ScalePoint], bonsai: &[ScalePoint], linux: &[ScalePoi
     // The O(1) bound must hold at *every* core count, so judge the
     // worst point of the sweep, not just the last (a contended line can
     // peak at intermediate counts).
-    let radix_remote_per_op = radix
-        .iter()
-        .map(ScalePoint::remote_per_op)
-        .fold(0.0, f64::max);
-    let mut failures = Vec::new();
-    if radix_retention < RADIX_RETENTION_FLOOR {
-        failures.push(format!(
+    let radix_remote_per_op = peak_remote_per_op(radix);
+    let mut gate = Gate::new("scaling");
+    gate.fail_if(radix_retention < RADIX_RETENTION_FLOOR, || {
+        format!(
             "radix per-core retention {radix_retention:.3} at {max_cores} cores \
              < floor {RADIX_RETENTION_FLOOR}"
-        ));
-    }
-    if radix_remote_per_op > RADIX_REMOTE_PER_OP_CEIL {
-        failures.push(format!(
+        )
+    });
+    gate.fail_if(radix_remote_per_op > RADIX_REMOTE_PER_OP_CEIL, || {
+        format!(
             "radix remote line transfers per op peak at {radix_remote_per_op:.3} \
              > ceiling {RADIX_REMOTE_PER_OP_CEIL} (not O(1))"
-        ));
-    }
-    if radix_retention <= bonsai_retention {
-        failures.push(format!(
-            "radix retention {radix_retention:.3} does not beat bonsai {bonsai_retention:.3}"
-        ));
-    }
-    if radix_retention <= linux_retention {
-        failures.push(format!(
-            "radix retention {radix_retention:.3} does not beat linux {linux_retention:.3}"
-        ));
-    }
-    GateReport {
-        max_cores,
-        radix_retention,
-        bonsai_retention,
-        linux_retention,
-        radix_remote_per_op,
-        failures,
-    }
-}
-
-/// Runs the *contended* workload (all cores hammering one range) for
-/// one backend at one core count.
-pub fn contended_point(kind: BackendKind, ncores: usize, duration_ns: u64) -> ScalePoint {
-    let machine = Machine::new(ncores);
-    let vm = build(&machine, kind);
-    let point = run_sim(ncores, duration_ns, CostModel::default(), |core| {
-        workloads::contended(machine.clone(), vm.clone(), core)
+        )
     });
-    let pool = machine.pool().stats();
-    ScalePoint {
-        cores: ncores,
-        ops: point.units,
-        virt_ns: point.virt_ns,
-        remote_transfers: point.sim.total_remote(),
-        ipis: point.sim.total_ipis(),
-        on_node_frees: pool.on_node_frees,
-        cross_node_frees: pool.cross_node_frees,
-    }
-}
-
-/// Sweeps the contended workload across `core_counts`.
-pub fn contended_sweep(
-    kind: BackendKind,
-    core_counts: &[usize],
-    duration_ns: u64,
-) -> Vec<ScalePoint> {
-    core_counts
-        .iter()
-        .map(|&n| contended_point(kind, n, crate::point_duration(duration_ns, n)))
-        .collect()
+    gate.fail_if(radix_retention <= bonsai_retention, || {
+        format!("radix retention {radix_retention:.3} does not beat bonsai {bonsai_retention:.3}")
+    });
+    gate.fail_if(radix_retention <= linux_retention, || {
+        format!("radix retention {radix_retention:.3} does not beat linux {linux_retention:.3}")
+    });
+    let section = Json::obj()
+        .with("radix_retention_floor", RADIX_RETENTION_FLOOR)
+        .with("radix_remote_per_op_ceiling", RADIX_REMOTE_PER_OP_CEIL)
+        .with("radix_retention", Json::fixed(radix_retention, 4))
+        .with("bonsai_retention", Json::fixed(bonsai_retention, 4))
+        .with("linux_retention", Json::fixed(linux_retention, 4))
+        .with("radix_remote_per_op", Json::fixed(radix_remote_per_op, 4));
+    (gate.stamp(section), gate)
 }
 
 /// Under full contention RadixVM's *total* throughput must stay at or
@@ -267,133 +205,64 @@ pub const CONTENDED_DEGRADATION_FLOOR: f64 = 0.30;
 /// (~6.0 with the persistent-mapping workload shape).
 pub const CONTENDED_REMOTE_PER_OP_CEIL: f64 = 8.0;
 
-/// Verdict of the contended-range degradation gate.
-#[derive(Clone, Debug)]
-pub struct ContendedReport {
-    /// Largest core count in the sweep.
-    pub max_cores: usize,
-    /// Worst total-throughput ratio vs. the 1-core point over the sweep.
-    pub worst_ratio: f64,
-    /// Worst remote-line-transfers-per-op over the sweep.
-    pub worst_remote_per_op: f64,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl ContendedReport {
-    /// True when the gate held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
+/// Worst total-throughput ratio of `points[1..]` to the 1-core
+/// `points[0]`, failing `gate` at every point below `floor`: serialized
+/// operations may flatten the curve but must not collapse it. Zero, and
+/// a failure, when the sweep lacks its 1-core serial baseline (the ratios
+/// mean nothing against any other, and `RVM_CORES` can trim the sweep).
+fn worst_vs_serial(points: &[ScalePoint], floor: f64, what: &str, gate: &mut Gate) -> f64 {
+    let serial = points.first().map(ScalePoint::ops_per_sec).unwrap_or(0.0);
+    if points.first().map(|p| p.cores) != Some(1) || serial <= 0.0 {
+        gate.failures
+            .push(format!("{what} sweep lacks a 1-core serial baseline"));
+        return 0.0;
     }
+    let mut worst: f64 = 1.0;
+    for p in &points[1..] {
+        let ratio = p.ops_per_sec() / serial;
+        worst = worst.min(ratio);
+        gate.fail_if(ratio < floor, || {
+            format!(
+                "{what} throughput at {} cores is {ratio:.3}x the serial rate \
+                 < floor {floor} (collapse, not degradation)",
+                p.cores
+            )
+        });
+    }
+    worst
 }
 
 /// Evaluates graceful degradation over a contended sweep (first point
-/// must be the 1-core serial baseline).
-pub fn check_contended(radix: &[ScalePoint]) -> ContendedReport {
-    let max_cores = radix.last().map(|p| p.cores).unwrap_or(0);
-    let serial = radix.first().map(ScalePoint::ops_per_sec).unwrap_or(0.0);
-    let mut worst_ratio = f64::INFINITY;
-    let mut failures = Vec::new();
-    // The ratios below are meaningless against anything but a 1-core
-    // serial baseline (RVM_CORES can reorder or trim the sweep).
-    if radix.first().map(|p| p.cores) != Some(1) {
-        failures.push(format!(
-            "contended sweep must start at 1 core (serial baseline), got {:?}",
-            radix.first().map(|p| p.cores)
-        ));
-    }
-    if serial <= 0.0 {
-        failures.push("no serial baseline point".to_string());
-        return ContendedReport {
-            max_cores,
-            worst_ratio: 0.0,
-            worst_remote_per_op: 0.0,
-            failures,
-        };
-    }
-    for p in &radix[1..] {
-        let ratio = p.ops_per_sec() / serial;
-        worst_ratio = worst_ratio.min(ratio);
-        if ratio < CONTENDED_DEGRADATION_FLOOR {
-            failures.push(format!(
-                "contended throughput at {} cores is {:.3}x the serial rate \
-                 < floor {CONTENDED_DEGRADATION_FLOOR} (collapse, not degradation)",
-                p.cores, ratio
-            ));
-        }
-    }
-    let worst_remote_per_op = radix
-        .iter()
-        .map(ScalePoint::remote_per_op)
-        .fold(0.0, f64::max);
-    if worst_remote_per_op > CONTENDED_REMOTE_PER_OP_CEIL {
-        failures.push(format!(
+/// must be the 1-core serial baseline); returns the record's verdict
+/// fields and the verdict.
+pub fn check_contended(radix: &[ScalePoint]) -> (Json, Gate) {
+    let mut gate = Gate::new("contended-range degradation");
+    let worst_ratio = worst_vs_serial(radix, CONTENDED_DEGRADATION_FLOOR, "contended", &mut gate);
+    let worst_remote_per_op = peak_remote_per_op(radix);
+    gate.fail_if(worst_remote_per_op > CONTENDED_REMOTE_PER_OP_CEIL, || {
+        format!(
             "contended remote line transfers per op peak at {worst_remote_per_op:.3} \
              > ceiling {CONTENDED_REMOTE_PER_OP_CEIL}"
-        ));
-    }
-    if worst_ratio == f64::INFINITY {
-        worst_ratio = 1.0;
-    }
-    ContendedReport {
-        max_cores,
-        worst_ratio,
-        worst_remote_per_op,
-        failures,
-    }
-}
-
-/// Runs the *overlap* workload (multi-page ops colliding with
-/// probability `degree`%) for one backend at one core count.
-pub fn overlap_point(
-    kind: BackendKind,
-    degree: u32,
-    ncores: usize,
-    duration_ns: u64,
-) -> ScalePoint {
-    let machine = Machine::new(ncores);
-    let vm = build(&machine, kind);
-    let point = run_sim(ncores, duration_ns, CostModel::default(), |core| {
-        workloads::overlap(machine.clone(), vm.clone(), core, degree)
+        )
     });
-    let pool = machine.pool().stats();
-    ScalePoint {
-        cores: ncores,
-        ops: point.units,
-        virt_ns: point.virt_ns,
-        remote_transfers: point.sim.total_remote(),
-        ipis: point.sim.total_ipis(),
-        on_node_frees: pool.on_node_frees,
-        cross_node_frees: pool.cross_node_frees,
-    }
+    let fields = Json::obj()
+        .with("degradation_floor", CONTENDED_DEGRADATION_FLOOR)
+        .with("remote_per_op_ceiling", CONTENDED_REMOTE_PER_OP_CEIL)
+        .with("worst_vs_serial", Json::fixed(worst_ratio, 4))
+        .with("worst_remote_per_op", Json::fixed(worst_remote_per_op, 4));
+    (gate.stamp(fields), gate)
 }
 
-/// One overlap degree's sweep across core counts for one backend.
-#[derive(Clone, Debug)]
-pub struct OverlapSweep {
-    /// Collision probability in percent (0, 10, 50, 100).
-    pub degree: u32,
-    /// Points at ascending core counts (first must be 1 core).
-    pub points: Vec<ScalePoint>,
-}
-
-/// Sweeps the overlap workload across `core_counts` for each degree.
+/// Sweeps the overlap workload across `core_counts` for each collision
+/// probability in `degrees` (percent); returns `(degree, points)` pairs.
 pub fn overlap_sweep(
     kind: BackendKind,
     degrees: &[u32],
     core_counts: &[usize],
     duration_ns: u64,
-) -> Vec<OverlapSweep> {
-    degrees
-        .iter()
-        .map(|&degree| OverlapSweep {
-            degree,
-            points: core_counts
-                .iter()
-                .map(|&n| overlap_point(kind, degree, n, crate::point_duration(duration_ns, n)))
-                .collect(),
-        })
-        .collect()
+) -> Vec<(u32, Vec<ScalePoint>)> {
+    let sweep_at = |d| sweep(kind, Workload::Overlap(d), core_counts, duration_ns);
+    degrees.iter().map(|&d| (d, sweep_at(d))).collect()
 }
 
 /// Overlap degrees the sweep and `BENCH_scale.json` record.
@@ -409,98 +278,159 @@ pub const OVERLAP_RETENTION_FLOOR: f64 = 0.70;
 /// factor (same graceful-degradation bar as the contended gate).
 pub const OVERLAP_DEGRADATION_FLOOR: f64 = 0.30;
 
-/// Verdict of the overlap-degree gate (judged on the List substrate).
-#[derive(Clone, Debug)]
-pub struct OverlapReport {
-    /// Largest core count in the sweep.
-    pub max_cores: usize,
-    /// Per-core retention at max cores, 0 % overlap.
-    pub disjoint_retention: f64,
-    /// Worst total-throughput ratio vs. 1 core at 100 % overlap.
-    pub full_overlap_worst_ratio: f64,
-    /// Human-readable failures; empty means the gate passed.
-    pub failures: Vec<String>,
-}
-
-impl OverlapReport {
-    /// True when every gate condition held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
 /// Evaluates the overlap gate over one backend's degree sweeps: the
 /// 0 %-overlap curve must scale (retention ≥
 /// [`OVERLAP_RETENTION_FLOOR`]) and the 100 %-overlap curve must
 /// degrade gracefully (every multicore point ≥
-/// [`OVERLAP_DEGRADATION_FLOOR`] × the 1-core rate).
-pub fn check_overlap(sweeps: &[OverlapSweep]) -> OverlapReport {
-    let mut failures = Vec::new();
-    let mut max_cores = 0;
-    let mut disjoint_retention = 0.0;
-    let mut full_overlap_worst_ratio: f64 = 1.0;
-    match sweeps.iter().find(|s| s.degree == 0) {
-        Some(s) => {
-            max_cores = s.points.last().map(|p| p.cores).unwrap_or(0);
-            disjoint_retention = retention(&s.points);
-            if disjoint_retention < OVERLAP_RETENTION_FLOOR {
-                failures.push(format!(
-                    "0%-overlap per-core retention {disjoint_retention:.3} at {max_cores} \
-                     cores < floor {OVERLAP_RETENTION_FLOOR}"
-                ));
-            }
-        }
-        None => failures.push("sweep is missing the 0%-overlap degree".to_string()),
-    }
-    match sweeps.iter().find(|s| s.degree == 100) {
-        Some(s) => {
-            let serial = s.points.first().map(ScalePoint::ops_per_sec).unwrap_or(0.0);
-            if s.points.first().map(|p| p.cores) != Some(1) || serial <= 0.0 {
-                failures.push("100%-overlap sweep lacks a 1-core serial baseline".to_string());
-            } else {
-                for p in &s.points[1..] {
-                    let ratio = p.ops_per_sec() / serial;
-                    full_overlap_worst_ratio = full_overlap_worst_ratio.min(ratio);
-                    if ratio < OVERLAP_DEGRADATION_FLOOR {
-                        failures.push(format!(
-                            "100%-overlap throughput at {} cores is {ratio:.3}x the serial \
-                             rate < floor {OVERLAP_DEGRADATION_FLOOR} (collapse)",
-                            p.cores
-                        ));
-                    }
-                }
-            }
-        }
-        None => failures.push("sweep is missing the 100%-overlap degree".to_string()),
-    }
-    OverlapReport {
-        max_cores,
-        disjoint_retention,
-        full_overlap_worst_ratio,
-        failures,
-    }
+/// [`OVERLAP_DEGRADATION_FLOOR`] × the 1-core rate). Returns the
+/// record's verdict fields and the verdict.
+pub fn check_overlap(sweeps: &[(u32, Vec<ScalePoint>)]) -> (Json, Gate) {
+    let mut gate = Gate::new("overlap-degree");
+    let degree = |d: u32| sweeps.iter().find(|s| s.0 == d).map(|s| &s.1[..]);
+    let disjoint = degree(0).unwrap_or_default();
+    let max_cores = disjoint.last().map(|p| p.cores).unwrap_or(0);
+    let disjoint_retention = retention(disjoint);
+    gate.fail_if(disjoint_retention < OVERLAP_RETENTION_FLOOR, || {
+        format!(
+            "0%-overlap per-core retention {disjoint_retention:.3} at {max_cores} \
+             cores < floor {OVERLAP_RETENTION_FLOOR}"
+        )
+    });
+    let full = degree(100).unwrap_or_default();
+    let full_overlap_worst_ratio =
+        worst_vs_serial(full, OVERLAP_DEGRADATION_FLOOR, "100%-overlap", &mut gate);
+    let fields = Json::obj()
+        .with("retention_floor_at_0", OVERLAP_RETENTION_FLOOR)
+        .with("degradation_floor_at_100", OVERLAP_DEGRADATION_FLOOR)
+        .with(
+            "list_disjoint_retention",
+            Json::fixed(disjoint_retention, 4),
+        )
+        .with(
+            "list_full_overlap_worst_vs_serial",
+            Json::fixed(full_overlap_worst_ratio, 4),
+        );
+    (gate.stamp(fields), gate)
 }
 
-/// Core counts for the scale sweep: `RVM_CORES` override, trimmed for
-/// `--quick` (the CI smoke gate at 4 cores), full 1..16 otherwise.
-pub fn scale_core_counts() -> Vec<usize> {
-    if let Ok(s) = std::env::var("RVM_CORES") {
-        return s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-    }
-    if crate::quick() {
-        vec![1, 4]
-    } else {
-        vec![1, 2, 4, 8, 16]
-    }
+/// A sweep's points as record rows, each also printed as progress
+/// under `label`. With `per_core` a row carries the per-core rate and
+/// the allocator's free placement; without, its throughput over the
+/// sweep's first (1-core) point.
+fn rows(label: &str, points: &[ScalePoint], per_core: bool) -> Json {
+    let serial = points.first().map(ScalePoint::ops_per_sec).unwrap_or(0.0);
+    let rows = points.iter().map(|p| {
+        let row = Json::obj()
+            .with("cores", p.cores)
+            .with("ops_per_sec", Json::fixed(p.ops_per_sec(), 0));
+        let row = if per_core {
+            row.with(
+                "per_core_ops_per_sec",
+                Json::fixed(p.per_core_ops_per_sec(), 0),
+            )
+            .with("on_node_frees", p.on_node_frees)
+            .with("cross_node_frees", p.cross_node_frees)
+        } else {
+            row.with(
+                "vs_serial",
+                Json::fixed(p.ops_per_sec() / serial.max(1e-9), 4),
+            )
+        };
+        let row = row
+            .with("remote_per_op", Json::fixed(p.remote_per_op(), 4))
+            .with("ipis_per_op", Json::fixed(p.ipis_per_op(), 4));
+        eprint!("  {label}: {}", row.pretty());
+        row
+    });
+    Json::Arr(rows.collect())
 }
 
-/// Runs the three gated backends at the given core counts and evaluates
-/// the gate (the entry point both the unit test and `bench_scale` use).
-pub fn run_gate(core_counts: &[usize], duration_ns: u64) -> GateReport {
-    let radix = disjoint_sweep(BackendKind::Radix, core_counts, duration_ns);
-    let bonsai = disjoint_sweep(BackendKind::Bonsai, core_counts, duration_ns);
-    let linux = disjoint_sweep(BackendKind::Linux, core_counts, duration_ns);
-    check_gate(&radix, &bonsai, &linux)
+/// The `scale` record: every backend's disjoint-ops sweep, the
+/// contended-range sweep, and the overlap-degree sweep on both range-lock
+/// substrates, with the scaling, contended and overlap gates. Default
+/// cores are 1..16 (1 and 4 under `--quick`, the CI smoke gate).
+pub fn record(inp: &Inputs) -> Record {
+    let cores = inp.cores(&[1, 4], &[1, 2, 4, 8, 16]);
+    let dur = inp.duration_ns();
+    let mut backends = Json::obj();
+    let mut sweeps = Vec::new();
+    for kind in BackendKind::ALL {
+        eprintln!("sweeping {kind} over {cores:?} cores...");
+        let points = sweep(kind, Workload::Disjoint, &cores, dur);
+        let section = Json::obj()
+            .with("retention_at_max_cores", Json::fixed(retention(&points), 4))
+            .with("points", rows(kind.name(), &points, true));
+        backends = backends.with(kind.name(), section);
+        sweeps.push((kind, points));
+    }
+    let get = |k: BackendKind| {
+        let found = sweeps.iter().find(|(kind, _)| *kind == k);
+        &found.expect("every backend was swept").1
+    };
+    let (gate_section, gate) = check_gate(
+        get(BackendKind::Radix),
+        get(BackendKind::Bonsai),
+        get(BackendKind::Linux),
+    );
+
+    // The adversarial companion sweep: all cores hammering one range
+    // (graceful-degradation gate).
+    eprintln!("sweeping contended range on RadixVM over {cores:?} cores...");
+    let contended = sweep(BackendKind::Radix, Workload::Contended, &cores, dur);
+    let (contended_fields, contended_gate) = check_contended(&contended);
+    let contended_section = Json::obj()
+        .with(
+            "workload",
+            "all cores touch ONE persistently mapped 4-page range, remapping it every 16th \
+             cycle (a map-unmap-per-cycle shape privatizes the range each op and measures \
+             ipis_per_op=0)",
+        )
+        .with("points", rows("contended", &contended, false))
+        .extend(contended_fields);
+
+    // The range-lock substrate sweep: multi-page ops colliding with
+    // probability 0/10/50/100 %, on both the list-based lock (the
+    // default) and the slot-CAS-only baseline. The gate judges List.
+    let overlap = [BackendKind::Radix, BackendKind::RadixSlotSpin].map(|kind| {
+        eprintln!("sweeping overlap degrees on {kind} over {cores:?} cores...");
+        (kind, overlap_sweep(kind, &OVERLAP_DEGREES, &cores, dur))
+    });
+    let mut substrates = Json::obj();
+    for (kind, sweeps) in &overlap {
+        let mut degrees = Json::obj();
+        for (degree, points) in sweeps {
+            let label = format!("{kind} {degree}% overlap");
+            degrees = degrees.with(&degree.to_string(), rows(&label, points, false));
+        }
+        substrates = substrates.with(kind.meta().range_lock.name(), degrees);
+    }
+    let (overlap_fields, overlap_gate) = check_overlap(&overlap[0].1);
+    let overlap_section = Json::obj()
+        .with(
+            "workload",
+            "16-page mmap+touch+munmap; each op collides on a shared slice with probability \
+             <degree>%",
+        )
+        .with("degrees", OVERLAP_DEGREES.to_vec())
+        .with("substrates", substrates)
+        .extend(overlap_fields);
+
+    let json = Json::obj()
+        .with("schema", 1u64)
+        .with("bench", "scale")
+        .with(
+            "workload",
+            "disjoint mmap+touch+munmap per core (Fig. 5 local)",
+        )
+        .with("cores", cores)
+        .with("backends", backends)
+        .with("contended", contended_section)
+        .with("overlap", overlap_section)
+        .with("gate", gate_section);
+    Record {
+        json,
+        gates: vec![gate, contended_gate, overlap_gate],
+    }
 }
 
 #[cfg(test)]
@@ -513,25 +443,26 @@ mod tests {
     /// scale strictly worse. Deterministic — not a flaky perf test.
     #[test]
     fn disjoint_ops_scaling_gate() {
-        let report = run_gate(&[1, 8], 4_000_000);
+        let disjoint = |kind| sweep(kind, Workload::Disjoint, &[1, 8], 4_000_000);
+        let radix = disjoint(BackendKind::Radix);
+        let bonsai = disjoint(BackendKind::Bonsai);
+        let linux = disjoint(BackendKind::Linux);
+        let (_, gate) = check_gate(&radix, &bonsai, &linux);
         assert!(
-            report.passed(),
+            gate.passed(),
             "scalability gate failed:\n  {}",
-            report.failures.join("\n  ")
+            gate.failures.join("\n  ")
         );
         // The separation must be qualitative, not marginal: the
         // serialized baselines lose most of their per-core throughput.
+        let (radix, bonsai, linux) = (retention(&radix), retention(&bonsai), retention(&linux));
         assert!(
-            report.radix_retention > 2.0 * report.bonsai_retention,
-            "radix {:.3} vs bonsai {:.3}: separation collapsed",
-            report.radix_retention,
-            report.bonsai_retention
+            radix > 2.0 * bonsai,
+            "radix {radix:.3} vs bonsai {bonsai:.3}: separation collapsed"
         );
         assert!(
-            report.radix_retention > 2.0 * report.linux_retention,
-            "radix {:.3} vs linux {:.3}: separation collapsed",
-            report.radix_retention,
-            report.linux_retention
+            radix > 2.0 * linux,
+            "radix {radix:.3} vs linux {linux:.3}: separation collapsed"
         );
     }
 
@@ -541,16 +472,16 @@ mod tests {
     /// graceful degradation, not collapse. Deterministic.
     #[test]
     fn contended_range_degrades_gracefully() {
-        let sweep = contended_sweep(BackendKind::Radix, &[1, 8], 3_000_000);
+        let points = sweep(BackendKind::Radix, Workload::Contended, &[1, 8], 3_000_000);
         assert!(
-            sweep.iter().all(|p| p.ops > 0),
+            points.iter().all(|p| p.ops > 0),
             "no progress under contention"
         );
-        let report = check_contended(&sweep);
+        let (_, gate) = check_contended(&points);
         assert!(
-            report.passed(),
+            gate.passed(),
             "contended degradation gate failed:\n  {}",
-            report.failures.join("\n  ")
+            gate.failures.join("\n  ")
         );
     }
 
@@ -561,14 +492,14 @@ mod tests {
     fn overlap_extremes_gate() {
         let sweeps = overlap_sweep(BackendKind::Radix, &[0, 100], &[1, 8], 3_000_000);
         assert!(
-            sweeps.iter().all(|s| s.points.iter().all(|p| p.ops > 0)),
+            sweeps.iter().all(|(_, s)| s.iter().all(|p| p.ops > 0)),
             "no progress in an overlap sweep"
         );
-        let report = check_overlap(&sweeps);
+        let (_, gate) = check_overlap(&sweeps);
         assert!(
-            report.passed(),
+            gate.passed(),
             "overlap gate failed:\n  {}",
-            report.failures.join("\n  ")
+            gate.failures.join("\n  ")
         );
     }
 
@@ -578,7 +509,7 @@ mod tests {
     #[test]
     fn overlap_runs_on_both_substrates() {
         for kind in [BackendKind::Radix, BackendKind::RadixSlotSpin] {
-            let p = overlap_point(kind, 100, 4, 1_000_000);
+            let p = point(kind, Workload::Overlap(100), 4, 1_000_000);
             assert!(p.ops > 0, "{kind}: no progress at full overlap");
         }
     }
@@ -587,7 +518,7 @@ mod tests {
     fn disjoint_ops_send_no_ipis_on_radix() {
         // Targeted shootdown: a core unmapping its own pages never
         // interrupts another core.
-        let p = disjoint_point(BackendKind::Radix, 4, 1_000_000);
+        let p = point(BackendKind::Radix, Workload::Disjoint, 4, 1_000_000);
         assert!(p.ops > 0);
         assert_eq!(p.ipis, 0, "disjoint munmaps sent IPIs");
     }

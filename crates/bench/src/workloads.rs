@@ -37,7 +37,63 @@ const INDEX_BASE: u64 = 0x700_0000_0000;
 /// Operations between Refcache maintenance ticks.
 const MAINTAIN_EVERY: u64 = 128;
 
-fn splitmix(mut z: u64) -> u64 {
+/// A per-core workload the sweeps drive by name.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Workload {
+    /// [`local`]: per-core private mmap+touch+munmap cycles.
+    Disjoint,
+    /// [`pipeline`]: each page written by its producer and unmapped by
+    /// the next core.
+    Pipeline,
+    /// [`global`]: random writes over one shared region.
+    Global,
+    /// [`contended`]: all cores on one persistently mapped 4-page range.
+    Contended,
+    /// [`overlap`]: multi-page ops colliding with probability `degree` %.
+    Overlap(u32),
+    /// [`index_churn`]: descents through one hot interior node with a
+    /// sibling-slot writer.
+    IndexChurn,
+}
+
+impl Workload {
+    /// Record name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Workload::Disjoint => "disjoint",
+            Workload::Pipeline => "pipeline",
+            Workload::Global => "global",
+            Workload::Contended => "contended",
+            Workload::Overlap(_) => "overlap",
+            Workload::IndexChurn => "index-churn",
+        }
+    }
+
+    /// The per-core closure builder for one run on `ncores` cores.
+    pub fn on(
+        self,
+        machine: &Arc<Machine>,
+        vm: &Arc<dyn VmSystem>,
+        ncores: usize,
+    ) -> impl FnMut(usize) -> Box<dyn FnMut() -> u64> {
+        let (machine, vm) = (machine.clone(), vm.clone());
+        let queues = PipelineQueues::new(ncores);
+        move |core| {
+            let (machine, vm) = (machine.clone(), vm.clone());
+            match self {
+                Workload::Disjoint => local(machine, vm, core),
+                Workload::Pipeline => pipeline(machine, vm, queues.clone(), core, ncores),
+                Workload::Global => global(machine, vm, core, ncores),
+                Workload::Contended => contended(machine, vm, core),
+                Workload::Overlap(degree) => overlap(machine, vm, core, degree),
+                Workload::IndexChurn => index_churn(machine, vm, core),
+            }
+        }
+    }
+}
+
+/// SplitMix64 step: the bench crate's one seeded pseudo-random source.
+pub(crate) fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

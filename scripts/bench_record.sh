@@ -12,7 +12,7 @@
 #     real shootdown IPIs); the overlap-degree sweep (multi-page ops
 #     colliding with probability 0/10/50/100% on both the list-based
 #     range-lock substrate and the slotspin baseline); plus the
-#     scaling/contended/overlap gate verdicts (bench_scale exits
+#     scaling/contended/overlap gate verdicts (the scenario exits
 #     non-zero on regression).
 #   BENCH_huge.json     — huge-mapping (superpage) populate: faults,
 #     superpage installs/demotions/promotions, index and page-table
@@ -22,51 +22,36 @@
 #     faults and index bytes within 1.25x of never-demoted); the
 #     16-core span-shootdown sweep (span vs per-page IPI pricing by
 #     sharer count); plus the gate verdicts (≥ 8x fewer faults,
-#     strictly smaller index; bench_huge exits non-zero if any gate
+#     strictly smaller index; the scenario exits non-zero if any gate
 #     regresses).
 #   BENCH_refcount.json — frame-table ownership: cold + warm fault
 #     loops with zero Refcache-object heap allocations, frame-table
 #     cell activation/release balance, and remote-line transfers by
-#     category (frame-table vs anonymous heap); bench_refcount exits
+#     category (frame-table vs anonymous heap); the scenario exits
 #     non-zero on regression.
 #   BENCH_numa.json     — NUMA placement sweep: disjoint / contended /
 #     index-churn workloads on 1/2/4-node striped topologies under
 #     first-touch, interleave, and replicate-read-only placement, with
 #     every cache-line transfer priced by hop distance; records per-label
 #     per-node-pair cross-socket attribution, on-node vs cross-node frees
-#     and fault frames, plus the placement gate verdict (bench_numa exits
+#     and fault frames, plus the placement gate verdict (the scenario exits
 #     non-zero on regression).
 #   BENCH_pressure.json — memory pressure: the OOM-tolerant local cycle
 #     on a frame-capped two-node machine at 0/50/90% pre-fill
 #     utilization (throughput, stalls, pressure-tier drains/steals),
 #     the fragmentation point (huge-hinted populate degrading to
 #     scattered 4 KiB pages under squeezed headroom), plus the pressure
-#     gate verdict (bench_pressure exits non-zero on regression).
+#     gate verdict (the scenario exits non-zero on regression).
+#
+# Each record comes from one scenario of the rvm_bench driver, which
+# exits non-zero when a gate fails; the script stops there.
 #
 # Run from the repository root; commit the refreshed files.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo run --release -p rvm_bench --bin bench_fastpath > BENCH_fastpath.json
-echo "wrote $(pwd)/BENCH_fastpath.json:" >&2
-cat BENCH_fastpath.json
-
-cargo run --release -p rvm_bench --bin bench_scale > BENCH_scale.json
-echo "wrote $(pwd)/BENCH_scale.json:" >&2
-cat BENCH_scale.json
-
-cargo run --release -p rvm_bench --bin bench_huge > BENCH_huge.json
-echo "wrote $(pwd)/BENCH_huge.json:" >&2
-cat BENCH_huge.json
-
-cargo run --release -p rvm_bench --bin bench_refcount > BENCH_refcount.json
-echo "wrote $(pwd)/BENCH_refcount.json:" >&2
-cat BENCH_refcount.json
-
-cargo run --release -p rvm_bench --bin bench_numa > BENCH_numa.json
-echo "wrote $(pwd)/BENCH_numa.json:" >&2
-cat BENCH_numa.json
-
-cargo run --release -p rvm_bench --bin bench_pressure > BENCH_pressure.json
-echo "wrote $(pwd)/BENCH_pressure.json:" >&2
-cat BENCH_pressure.json
+for s in fastpath scale huge refcount numa pressure; do
+  cargo run --release -p rvm_bench -- "$s" > "BENCH_$s.json"
+  echo "wrote $(pwd)/BENCH_$s.json:" >&2
+  cat "BENCH_$s.json"
+done
